@@ -12,6 +12,7 @@ from .errors import (
 from .measures import (
     CriticalWindow,
     MeasureReport,
+    ThermalMeasures,
     concurrence,
     concurrence_thermal,
     critical_window,
@@ -22,6 +23,7 @@ from .measures import (
     min_hs_thermal,
     min_trace,
     min_trace_thermal,
+    thermal_measures,
 )
 from .model import (
     DensityMatrix,
@@ -31,6 +33,7 @@ from .model import (
     build_hamiltonian,
     closed_form_spectrum,
     thermal_elements,
+    thermal_elements_batch,
     thermal_state,
 )
 from .oracle import (

@@ -2,6 +2,7 @@
 formula-vs-oracle verification and figure presets."""
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -10,14 +11,15 @@ import numpy as np
 from .decomp import X_ZERO_TOL, fano_decompose
 from .errors import DomainError
 from .measures import (
+    concurrence as concurrence_general,
     concurrence_thermal,
     critical_window,
-    measure_report,
     min_fidelity_thermal,
     min_hs,
     min_hs_thermal,
     min_trace,
     min_trace_thermal,
+    thermal_measures,
 )
 from .model import ModelParams, build_hamiltonian, closed_form_spectrum, \
     thermal_elements, thermal_state
@@ -75,36 +77,27 @@ def _add_param_flags(parser):
                         help="plain key=value parameter file; flags override it")
 
 
-def _with(p, name, value):
-    fields = {"J": p.J, "Jz": p.Jz, "gamma": p.gamma, "B": p.B,
-              "lam": p.lam, "beta": p.beta}
-    fields[_ATTR[name]] = value
-    return ModelParams(**fields)
-
-
-def _in_window(report):
-    any_min = (report.min_hs > ZERO_TOL or report.min_trace > ZERO_TOL
-               or report.min_fidelity > ZERO_TOL)
-    return report.concurrence == 0.0 and any_min
+def _in_window(m):
+    """Zero concurrence but nonzero MIN, elementwise over a ThermalMeasures."""
+    any_min = ((m.min_hs > ZERO_TOL) | (m.min_trace > ZERO_TOL)
+               | (m.min_fidelity > ZERO_TOL))
+    return (m.concurrence == 0.0) & any_min
 
 
 def _sweep_lines(vary, start, stop, steps, fixed, lock=None):
     """CSV body rows for a parameter sweep (header not included)."""
-    lines = []
-    for value in np.linspace(start, stop, steps):
-        value = float(value)
-        p = _with(fixed, vary, value)
-        if lock == "J=Jz":
-            if vary == "Jz":
-                p = _with(p, "J", value)
-            elif vary == "J":
-                p = _with(p, "Jz", value)
-        rep = measure_report(p)
-        row = [vary, _fmt(value), _fmt(rep.concurrence), _fmt(rep.concurrence / 2),
-               _fmt(rep.min_hs), _fmt(rep.min_trace), _fmt(rep.min_trace_paper),
-               _fmt(rep.min_fidelity), "true" if _in_window(rep) else "false"]
-        lines.append(",".join(row))
-    return lines
+    values = np.linspace(start, stop, steps)
+    columns = {name: np.full(steps, v) for name, v in dataclasses.asdict(fixed).items()}
+    columns[_ATTR[vary]] = values
+    if lock == "J=Jz" and vary in ("J", "Jz"):
+        columns["Jz" if vary == "J" else "J"] = values
+    m = thermal_measures(**columns)
+    table = zip(values.tolist(), m.concurrence.tolist(), m.min_hs.tolist(),
+                m.min_trace.tolist(), m.min_trace_paper.tolist(),
+                m.min_fidelity.tolist(), _in_window(m).tolist())
+    return [",".join((vary, _fmt(value), _fmt(conc), _fmt(conc / 2), _fmt(hs), _fmt(tr),
+                      _fmt(paper), _fmt(fid), "true" if inside else "false"))
+            for value, conc, hs, tr, paper, fid, inside in table]
 
 
 def _write_csv(path, lines):
@@ -116,25 +109,24 @@ def _write_csv(path, lines):
 
 def cmd_point(args):
     p = _params_from_args(args)
-    t = thermal_elements(p)
-    f = fano_decompose(thermal_state(p))
-    rep = measure_report(p)
+    m = thermal_measures(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
+    t = m.elements
     out = []
     for flag in PARAM_FLAGS:
         out.append(f"{flag}: {_fmt(getattr(p, _ATTR[flag]))}")
     out.append(f"Z: {_fmt(t.Z)}")
     for name in ("mu_plus", "mu_minus", "nu_plus", "nu_minus", "kappa", "epsilon"):
         out.append(f"{name}: {_fmt(getattr(t, name))}")
-    out.append("bloch_a: " + " ".join(_fmt(v) for v in f.bloch_a))
-    out.append("bloch_b: " + " ".join(_fmt(v) for v in f.bloch_b))
-    out.append("corr_diag: " + " ".join(_fmt(f.pauli_corr[i, i]) for i in range(3)))
-    out.append(f"concurrence: {_fmt(rep.concurrence)}")
-    out.append(f"concurrence_half: {_fmt(rep.concurrence / 2)}")
-    out.append(f"min_hs: {_fmt(rep.min_hs)}")
-    out.append(f"min_trace: {_fmt(rep.min_trace)}")
-    out.append(f"min_trace_paper: {_fmt(rep.min_trace_paper)}")
-    out.append(f"min_fidelity: {_fmt(rep.min_fidelity)}")
-    out.append("in_window: " + ("true" if _in_window(rep) else "false"))
+    out.append(f"bloch_a: 0 0 {_fmt(m.a_z)}")
+    out.append(f"bloch_b: 0 0 {_fmt(m.b_z)}")
+    out.append("corr_diag: " + " ".join(_fmt(c) for c in (m.c_xx, m.c_yy, m.c_zz)))
+    out.append(f"concurrence: {_fmt(m.concurrence)}")
+    out.append(f"concurrence_half: {_fmt(m.concurrence / 2)}")
+    out.append(f"min_hs: {_fmt(m.min_hs)}")
+    out.append(f"min_trace: {_fmt(m.min_trace)}")
+    out.append(f"min_trace_paper: {_fmt(m.min_trace_paper)}")
+    out.append(f"min_fidelity: {_fmt(m.min_fidelity)}")
+    out.append("in_window: " + ("true" if _in_window(m) else "false"))
     try:
         w = critical_window(p)
         out.append("jc1: " + ("unbounded" if w.jc1_unbounded else _fmt(w.jc1)))
@@ -226,9 +218,6 @@ def cmd_figure(args):
 
 def _verify_report(samples, seed):
     """Compare every closed formula against its oracle; returns (lines, ok)."""
-    from .measures import concurrence as concurrence_general
-    from .model import DensityMatrix
-
     rng = np.random.default_rng(seed)
     lines = []
     ok = True

@@ -19,7 +19,13 @@ import numpy as np
 from .decomp import X_ZERO_TOL, FanoForm
 from .errors import ConventionMismatch, DomainError, NotDiagonalCorrelation
 from .linalg import SIGMA_Y, kron
-from .model import DensityMatrix, ModelParams, ThermalElements
+from .model import (
+    DensityMatrix,
+    ModelParams,
+    ThermalElements,
+    check_xstate,
+    thermal_elements_batch,
+)
 from .oracle import fidelity_min_spectral
 
 _SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
@@ -52,6 +58,29 @@ class MeasureReport:
     min_trace: float
     min_trace_paper: float
     min_fidelity: float
+
+
+@dataclass(frozen=True, eq=False)
+class ThermalMeasures:
+    """Every quantity of a batch of thermal X-states, one array per field
+    (numpy scalars for a batch of one).
+
+    The Pauli components are those of the normalised state: the Bloch vectors
+    lie along z and the correlation matrix is diagonal, so a_z, b_z and
+    c_xx, c_yy, c_zz are all of them.
+    """
+
+    elements: ThermalElements
+    a_z: np.ndarray
+    b_z: np.ndarray
+    c_xx: np.ndarray
+    c_yy: np.ndarray
+    c_zz: np.ndarray
+    concurrence: np.ndarray
+    min_hs: np.ndarray
+    min_trace: np.ndarray
+    min_trace_paper: np.ndarray
+    min_fidelity: np.ndarray
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -192,17 +221,62 @@ def min_fidelity_thermal(t: ThermalElements) -> float:
     return num / den
 
 
-def measure_report(p: ModelParams) -> MeasureReport:
-    """All measures of the thermal state at the given parameters."""
-    from .decomp import fano_decompose
-    from .model import thermal_elements, thermal_state
+def thermal_measures(J, Jz, gamma, B, lam, beta) -> ThermalMeasures:
+    """Concurrence and the three MIN variants for a batch of points: 1-d
+    parameter arrays of one length, or scalars for a batch of one.
 
-    t = thermal_elements(p)
-    f = fano_decompose(thermal_state(p))
+    The vectorized X-state kernel of the production path: every value follows
+    from the six thermal elements, with the branches of the general closed
+    forms specialised to a Bloch vector along z.  The per-point checks of the
+    general path run here too, over the whole batch: the parameter checks,
+    the DensityMatrix trace and positivity checks, and the printed-vs-spectral
+    fidelity check.  Overflow raises FloatingPointError (see
+    thermal_elements_batch).
+    """
+    t = thermal_elements_batch(J, Jz, gamma, B, lam, beta)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        d0, d1, d2, d3 = (v / t.Z for v in (t.mu_minus, t.nu_minus, t.nu_plus, t.mu_plus))
+        k, e = t.kappa / t.Z, t.epsilon / t.Z
+        check_xstate(d0, d1, d2, d3, k, e)
+        a_z = d0 + d1 - d2 - d3
+        b_z = d0 - d1 + d2 - d3
+        c_xx, c_yy, c_zz = 2.0 * (k + e), 2.0 * (e - k), d0 - d1 - d2 + d3
+        cxx2, cyy2, czz2 = c_xx * c_xx, c_yy * c_yy, c_zz * c_zz
+        sum_c2 = cxx2 + cyy2 + czz2
+        min_c2 = np.minimum(np.minimum(cxx2, cyy2), czz2)
+        transverse = np.maximum(np.abs(c_xx), np.abs(c_yy))
+        # zero local Bloch vector: every axis is admissible and the optimum
+        # drops the weakest correlation axis; otherwise the axis is pinned to z
+        zero = np.abs(a_z) <= X_ZERO_TOL
+        min_hs_v = np.where(zero, (sum_c2 - min_c2) / 4.0, (cxx2 + cyy2) / 4.0)[()]
+        min_trace_v = np.where(zero, np.maximum(transverse, np.abs(c_zz)), transverse)[()]
+        q = np.where(zero, min_c2, a_z * a_z + czz2)
+        den = 1.0 + a_z * a_z + b_z * b_z + sum_c2
+        fidelity = 1.0 - (1.0 + b_z * b_z + q) / den
+        # printed formula, full-Gamma convention: |Gamma|^2 less the weight of
+        # Gamma's identity row and x-hat row, over |Gamma|^2
+        norm2 = den / 4.0
+        printed = (norm2 - (1.0 + b_z * b_z + a_z * a_z + czz2) / 4.0) / norm2
+        gap = np.where(zero, 0.0, np.abs(printed - fidelity))
+        if np.any(gap > CONVENTION_TOL):
+            raise ConventionMismatch(
+                f"printed fidelity formula differs from the spectral form by {np.max(gap)}")
+        conc = 2.0 * np.maximum(0.0, np.maximum(np.abs(k) - np.sqrt(d1 * d2),
+                                                np.abs(e) - np.sqrt(d0 * d3)))
+        return ThermalMeasures(
+            elements=t, a_z=a_z, b_z=b_z, c_xx=c_xx, c_yy=c_yy, c_zz=c_zz,
+            concurrence=conc, min_hs=min_hs_v, min_trace=min_trace_v,
+            min_trace_paper=np.abs(k) + np.abs(e), min_fidelity=fidelity,
+        )
+
+
+def measure_report(p: ModelParams) -> MeasureReport:
+    """All measures of the thermal state at the given parameters: a batch of one."""
+    m = thermal_measures(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
     return MeasureReport(
-        concurrence=concurrence_thermal(t),
-        min_hs=min_hs(f),
-        min_trace=min_trace(f),
-        min_trace_paper=min_trace_thermal(t),
-        min_fidelity=min_fidelity(f),
+        concurrence=float(m.concurrence),
+        min_hs=float(m.min_hs),
+        min_trace=float(m.min_trace),
+        min_trace_paper=float(m.min_trace_paper),
+        min_fidelity=float(m.min_fidelity),
     )

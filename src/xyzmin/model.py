@@ -21,6 +21,8 @@ from .errors import StateInvalid
 from .linalg import as_matrix, is_hermitian
 
 POSITIVITY_TOL = 1e-10
+PARAMS_NOT_FINITE = "all model parameters must be finite"
+BETA_NOT_POSITIVE = "beta must be positive"
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,9 @@ class ModelParams:
     def __post_init__(self):
         vals = (self.J, self.Jz, self.gamma, self.B, self.lam, self.beta)
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError("all model parameters must be finite")
+            raise ValueError(PARAMS_NOT_FINITE)
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise ValueError(BETA_NOT_POSITIVE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +54,10 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class ThermalElements:
-    """Closed-form X-state matrix elements and partition function."""
+    """Closed-form X-state matrix elements and partition function.
+
+    Fields are floats for one point, or arrays of one shape for a batch.
+    """
 
     mu_plus: float
     mu_minus: float
@@ -83,10 +88,11 @@ class DensityMatrix:
 
 
 def _sinhc(x):
-    """sinh(x)/x with the analytic value 1 at x = 0."""
-    if abs(x) < 1e-8:
-        return 1.0 + x * x / 6.0
-    return math.sinh(x) / x
+    """sinh(x)/x elementwise, by its series 1 + x^2/6 below |x| = 1e-8."""
+    small = np.abs(x) < 1e-8
+    safe = x + small  # x + 1 where the series applies: no 0/0 in the other branch
+    # [()] turns a 0-d result back into a scalar, as a batch of one expects
+    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)[()]
 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -147,31 +153,65 @@ def closed_form_spectrum(p: ModelParams) -> SpectralDecomposition:
     return SpectralDecomposition(eta=eta, delta=delta, energies=energies, eigenvectors=vecs)
 
 
-def thermal_elements(p: ModelParams) -> ThermalElements:
-    """Matrix elements of the Gibbs X-state and the partition function.
+def thermal_elements_batch(J, Jz, gamma, B, lam, beta) -> ThermalElements:
+    """Matrix elements of the Gibbs X-state and the partition function for
+    a batch of points: 1-d arrays of one length, each field an array of that
+    length, or scalars for a batch of one, each field a numpy scalar.
 
     Terms of the form (a/eta) sinh(beta eta) are evaluated as
     a * beta * sinhc(beta eta) so the eta -> 0 and delta -> 0 limits are the
-    analytic ones.
+    analytic ones.  Every value is checked as ModelParams checks it.  Floating
+    point overflow and invalid operations raise FloatingPointError, so a
+    parameter too far from zero temperature fails instead of giving inf or nan.
     """
-    g = p.gamma * p.J
-    eta = math.hypot(p.B, g)
-    delta = math.hypot(p.lam, p.J)
-    b = p.beta
-    ea = math.exp(-b * p.Jz / 2)
-    eb = math.exp(b * p.Jz / 2)
-    ch_eta = math.cosh(b * eta)
-    ch_delta = math.cosh(b * delta)
-    sc_eta = b * _sinhc(b * eta)  # sinh(beta eta)/eta
-    sc_delta = b * _sinhc(b * delta)
-    mu_plus = ea * (ch_eta + p.B * sc_eta)
-    mu_minus = ea * (ch_eta - p.B * sc_eta)
-    kappa = -g * sc_eta * ea
-    nu_plus = eb * (ch_delta + p.lam * sc_delta)
-    nu_minus = eb * (ch_delta - p.lam * sc_delta)
-    epsilon = -p.J * sc_delta * eb
-    Z = 2.0 * (ea * ch_eta + eb * ch_delta)
-    return ThermalElements(mu_plus, mu_minus, nu_plus, nu_minus, kappa, epsilon, Z)
+    # a copy with one contiguous row per parameter
+    params = np.array((J, Jz, gamma, B, lam, beta), dtype=float)
+    if not np.isfinite(params).all():
+        raise ValueError(PARAMS_NOT_FINITE)
+    if not (params[5] > 0).all():
+        raise ValueError(BETA_NOT_POSITIVE)
+    J, Jz, gamma, B, lam, beta = params
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        g = gamma * J
+        half_jz = beta * Jz / 2
+        ea = np.exp(-half_jz)
+        eb = np.exp(half_jz)
+        x_eta = beta * np.hypot(B, g)
+        x_delta = beta * np.hypot(lam, J)
+        ch_eta = np.cosh(x_eta)
+        ch_delta = np.cosh(x_delta)
+        sc_eta = beta * _sinhc(x_eta)  # sinh(beta eta)/eta
+        sc_delta = beta * _sinhc(x_delta)
+        return ThermalElements(
+            mu_plus=ea * (ch_eta + B * sc_eta),
+            mu_minus=ea * (ch_eta - B * sc_eta),
+            nu_plus=eb * (ch_delta + lam * sc_delta),
+            nu_minus=eb * (ch_delta - lam * sc_delta),
+            kappa=-g * sc_eta * ea,
+            epsilon=-J * sc_delta * eb,
+            Z=2.0 * (ea * ch_eta + eb * ch_delta),
+        )
+
+
+def thermal_elements(p: ModelParams) -> ThermalElements:
+    """Matrix elements of the Gibbs X-state at one point: a batch of one."""
+    t = thermal_elements_batch(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
+    return ThermalElements(*(float(v) for v in vars(t).values()))
+
+
+def check_xstate(d0, d1, d2, d3, k, e):
+    """The DensityMatrix checks for arrays of real X-states in closed form.
+
+    d0..d3 is the diagonal, k the |00><11| and e the |01><10| element; such a
+    matrix is Hermitian by construction and its smallest eigenvalue in each
+    2x2 block is (d_a + d_b)/2 - hypot((d_a - d_b)/2, off-diagonal).
+    """
+    if not np.all(np.abs(d0 + d1 + d2 + d3 - 1.0) <= 1e-12):
+        raise StateInvalid("density matrix trace differs from 1")
+    lowest = np.minimum((d0 + d3) / 2 - np.hypot((d0 - d3) / 2, k),
+                        (d1 + d2) / 2 - np.hypot((d1 - d2) / 2, e))
+    if not np.all(lowest >= -POSITIVITY_TOL):
+        raise StateInvalid("density matrix has a negative eigenvalue")
 
 
 def thermal_state(p: ModelParams) -> DensityMatrix:
