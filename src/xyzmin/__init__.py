@@ -6,7 +6,6 @@ from .errors import (
     ConventionMismatch,
     DomainError,
     NotDiagonalCorrelation,
-    NotHermitian,
     StateInvalid,
 )
 from .measures import (
@@ -16,6 +15,7 @@ from .measures import (
     concurrence,
     concurrence_thermal,
     critical_window,
+    fidelity_min_spectral,
     measure_report,
     min_fidelity,
     min_fidelity_thermal,
@@ -39,7 +39,6 @@ from .model import (
 from .oracle import (
     MeasurementAxis,
     OracleResult,
-    fidelity_min_spectral,
     fidelity_wang,
     max_over_measurements,
     post_measurement_state,

@@ -3,7 +3,6 @@ formula-vs-oracle verification and figure presets."""
 
 import argparse
 import dataclasses
-import math
 import sys
 
 import numpy as np
@@ -12,18 +11,16 @@ from .decomp import X_ZERO_TOL, fano_decompose
 from .errors import DomainError
 from .measures import (
     concurrence as concurrence_general,
-    concurrence_thermal,
     critical_window,
-    min_fidelity_thermal,
+    fidelity_min_spectral,
     min_hs,
     min_hs_thermal,
     min_trace,
-    min_trace_thermal,
     thermal_measures,
 )
 from .model import ModelParams, build_hamiltonian, closed_form_spectrum, \
     thermal_elements, thermal_state
-from .oracle import fidelity_min_spectral, max_over_measurements, thermal_state_exp
+from .oracle import max_over_measurements, thermal_state_exp
 
 CSV_HEADER = ("param,value,concurrence,concurrence_half,min_hs,min_trace,"
               "min_trace_paper,min_fidelity,in_window")
@@ -41,19 +38,23 @@ def _fmt(v):
 
 
 def _load_config(path):
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from exc
     values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in PARAM_FLAGS:
-                raise ValueError(f"unknown config key: {key!r}")
-            values[key] = float(val)
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed config line: {line!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in PARAM_FLAGS:
+            raise ValueError(f"unknown config key: {key!r}")
+        values[key] = float(val)
     return values
 
 
@@ -160,12 +161,7 @@ def cmd_sweep(args):
 
 
 def cmd_critical(args):
-    p = _params_from_args(args)
-    try:
-        w = critical_window(p)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    w = critical_window(_params_from_args(args))
     print("jc1: " + ("unbounded" if w.jc1_unbounded else _fmt(w.jc1)))
     print(f"jc2: {_fmt(w.jc2)}")
     return 0
@@ -231,11 +227,13 @@ def _verify_report(samples, seed):
             status = "INFO"
         lines.append(f"{name}: max_dev {dev:.3e} tol {tol:.1e} {status}")
 
+    draws = rng.uniform(-5.0, 5.0, size=(samples, 5))
+    # the production kernel over every sample at once, beta = 1
+    kernel = thermal_measures(*draws.T, np.ones(samples))
     dev_state = dev_spec = dev_vec = dev_conc = 0.0
     dev_eq19 = dev_eq21 = dev_fid_oracle = dev_eq8 = 0.0
     ratios = []
-    for _ in range(samples):
-        vals = rng.uniform(-5.0, 5.0, size=5)
+    for i, vals in enumerate(draws):
         p = ModelParams(J=vals[0], Jz=vals[1], gamma=vals[2], B=vals[3], lam=vals[4])
         rho = thermal_state(p)
         dev_state = max(dev_state, float(np.max(np.abs(
@@ -248,18 +246,17 @@ def _verify_report(samples, seed):
         for k in range(4):
             v = sd.eigenvectors[:, k]
             dev_vec = max(dev_vec, float(np.linalg.norm(h @ v - sd.energies[k] * v)))
-        t = thermal_elements(p)
-        dev_conc = max(dev_conc, abs(concurrence_thermal(t) - concurrence_general(rho)))
+        dev_conc = max(dev_conc, abs(kernel.concurrence[i] - concurrence_general(rho)))
         f = fano_decompose(rho)
         if float(np.linalg.norm(f.bloch_a)) > X_ZERO_TOL:
-            dev_eq19 = max(dev_eq19, abs(min_hs_thermal(t) - min_hs(f)))
+            dev_eq19 = max(dev_eq19, abs(kernel.min_hs[i] - min_hs(f)))
             spectral = fidelity_min_spectral(f)
-            dev_eq21 = max(dev_eq21, abs(min_fidelity_thermal(t) - spectral))
+            dev_eq21 = max(dev_eq21, abs(kernel.min_fidelity[i] - spectral))
             dev_fid_oracle = max(dev_fid_oracle, abs(
                 max_over_measurements(rho, "one_minus_fidelity").value - spectral))
             tr_oracle = max_over_measurements(rho, "trace").value
             dev_eq8 = max(dev_eq8, abs(min_trace(f) - tr_oracle))
-            printed = min_trace_thermal(t)
+            printed = kernel.min_trace_paper[i]
             if printed > 1e-8:
                 ratios.append(tr_oracle / printed)
     check("thermal_state_vs_exp_oracle", dev_state, 1e-10)
@@ -282,31 +279,6 @@ def _verify_report(samples, seed):
     f0 = fano_decompose(thermal_state(p0))
     check("hs_min_printed_divergence_at_zero_bloch",
           abs(min_hs_thermal(t0) - min_hs(f0)), 0.0, normative=False)
-
-    # best-effort inversion of the four quoted critical pairs at J=2, lam=0
-    from scipy.optimize import least_squares
-
-    pairs = [(-2.927, -1.268), (-1.163, -0.854), (-0.008, 0.062), (-1.724, -1.102)]
-    for jc1, jc2 in pairs:
-        def resid(v, jc1=jc1, jc2=jc2):
-            try:
-                w = critical_window(ModelParams(J=2.0, gamma=v[0], B=v[1]))
-            except DomainError:
-                return [1e6, 1e6]
-            a = w.jc1 if math.isfinite(w.jc1) else 1e6
-            return [a - jc1, w.jc2 - jc2]
-
-        starts = [(g0, b0) for g0 in (0.25, 0.5, 1.0, 2.0)
-                  for b0 in (0.1, 0.5, 1.0, 2.0)]
-        sol = min(
-            (least_squares(resid, x0=list(s), bounds=([1e-4, 0.0], [5.0, 5.0]))
-             for s in starts),
-            key=lambda r: float(np.max(np.abs(r.fun))),
-        )
-        lines.append(
-            f"figure4_pair ({jc1}, {jc2}): gamma {sol.x[0]:.6g} B {sol.x[1]:.6g} "
-            f"residual {float(np.max(np.abs(sol.fun))):.3e} (diagnostic only)"
-        )
     return lines, ok
 
 
@@ -363,9 +335,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; domain errors (bad parameters, overflow, an unreadable
+    --config) print one line to stderr and return 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,17 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULIS, kron
+from .linalg import PAULI_BASIS
 from .model import DensityMatrix
 
 # Below this norm of bloch_a the local state is treated as maximally mixed and
 # the measurement axis is unconstrained.  Branch discontinuities at this point
 # are genuine features of the closed formulas, not something to smooth over.
 X_ZERO_TOL = 1e-9
-
-_PAULI_A = [kron(s, IDENTITY_2) for s in PAULIS]
-_PAULI_B = [kron(IDENTITY_2, s) for s in PAULIS]
-_PAULI_AB = [[kron(si, sj) for sj in PAULIS] for si in PAULIS]
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,31 +37,16 @@ class FanoForm:
 
 
 def fano_decompose(rho: DensityMatrix) -> FanoForm:
-    m = rho.matrix
-    bloch_a = np.array([np.trace(m @ op).real for op in _PAULI_A])
-    bloch_b = np.array([np.trace(m @ op).real for op in _PAULI_B])
-    corr = np.array(
-        [[np.trace(m @ _PAULI_AB[i][j]).real for j in range(3)] for i in range(3)]
-    )
-    x = bloch_a / 2.0
-    y = bloch_b / 2.0
-    t = corr / 2.0
-    gamma = np.empty((4, 4))
+    # r[i, j] = Tr(rho sigma_i x sigma_j), index 0 the identity: r[0, 0] is
+    # Tr rho, the first column bloch_a, the first row bloch_b
+    r = np.einsum("ijab,ba->ij", PAULI_BASIS, rho.matrix).real
+    gamma = r / 2.0
     gamma[0, 0] = 0.5
-    gamma[0, 1:] = y
-    gamma[1:, 0] = x
-    gamma[1:, 1:] = t
-    return FanoForm(bloch_a=bloch_a, bloch_b=bloch_b, pauli_corr=corr,
-                    x=x, y=y, t=t, gamma_full=gamma)
+    return FanoForm(bloch_a=r[1:, 0], bloch_b=r[0, 1:], pauli_corr=r[1:, 1:],
+                    x=gamma[1:, 0], y=gamma[0, 1:], t=gamma[1:, 1:], gamma_full=gamma)
 
 
 def reconstruct(f: FanoForm) -> DensityMatrix:
-    """Inverse of fano_decompose; raises StateInvalid if the coefficients do
-    not describe a positive state."""
-    m = np.eye(4, dtype=complex)
-    for i in range(3):
-        m += f.bloch_a[i] * _PAULI_A[i]
-        m += f.bloch_b[i] * _PAULI_B[i]
-        for j in range(3):
-            m += f.pauli_corr[i, j] * _PAULI_AB[i][j]
-    return DensityMatrix(m / 4.0)
+    """Inverse of fano_decompose, from gamma_full; raises StateInvalid if the
+    coefficients do not describe a positive state."""
+    return DensityMatrix(np.einsum("ij,ijab->ab", f.gamma_full, PAULI_BASIS) / 2.0)

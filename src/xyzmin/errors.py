@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NotHermitian(ValueError):
-    """Raised when an operation requiring a Hermitian matrix receives one that is not."""
-
-
 class StateInvalid(ValueError):
     """Raised when a matrix fails the density-matrix checks (trace, Hermiticity, positivity)."""
 

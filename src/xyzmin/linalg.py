@@ -1,13 +1,11 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
 Everything here is a thin, validated wrapper around numpy; the rest of the
-package only ever needs Hermitian spectra, norms and tensor products of
-single- and two-qubit operators.
+package only ever needs the Pauli operators, their two-qubit products and
+Hermiticity checks of single- and two-qubit operators.
 """
 
 import numpy as np
-
-from .errors import NotHermitian
 
 HERMITIAN_TOL = 1e-12
 
@@ -15,8 +13,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_matrix(m):
@@ -36,31 +32,11 @@ def is_hermitian(m, tol=HERMITIAN_TOL):
     return float(np.max(np.abs(m - dagger(m)))) <= tol
 
 
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues real and sorted in
-    descending order; eigenvectors are the matching columns of a unitary.
-    """
-    m = as_matrix(m)
-    if not is_hermitian(m):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def hs_norm(m):
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr m^dag m)."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
-
-
-def trace_norm(m):
-    """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    m = as_matrix(m)
-    if not is_hermitian(m):
-        raise NotHermitian("trace_norm requires a Hermitian matrix")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-
-
 def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+_SIGMA = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# PAULI_BASIS[i, j] = sigma_i x sigma_j with sigma_0 the identity and
+# sigma_1..3 = x, y, z: the two-qubit operator basis, shape (4, 4, 4, 4)
+PAULI_BASIS = np.array([[kron(si, sj) for sj in _SIGMA] for si in _SIGMA])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .decomp import X_ZERO_TOL, FanoForm
 from .errors import ConventionMismatch, DomainError, NotDiagonalCorrelation
-from .linalg import SIGMA_Y, kron
+from .linalg import PAULI_BASIS
 from .model import (
     DensityMatrix,
     ModelParams,
@@ -26,9 +26,8 @@ from .model import (
     check_xstate,
     thermal_elements_batch,
 )
-from .oracle import fidelity_min_spectral
 
-_SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = PAULI_BASIS[2, 2]  # sigma_y x sigma_y
 DIAG_CORR_TOL = 1e-10
 CONVENTION_TOL = 1e-6
 
@@ -191,6 +190,25 @@ def _min_fidelity_printed(f: FanoForm) -> float:
     norm2 = float(np.sum(f.gamma_full ** 2))
     eps = float(np.trace(a_op @ gg @ a_op.T))
     return (norm2 - eps) / norm2
+
+
+def fidelity_min_spectral(f: FanoForm) -> float:
+    """1 - min_measurement F(rho, measured rho), reduced to spectral data.
+
+    With W = a a^t + C C^t (Pauli convention) the minimum fidelity is
+    (1 + |b|^2 + q) / (1 + |a|^2 + |b|^2 + |C|^2) where q = a^t W a / |a|^2
+    for a != 0 (pinned axis) and the smallest eigenvalue of C C^t otherwise.
+    """
+    a, b, c = f.bloch_a, f.bloch_b, f.pauli_corr
+    na2 = float(a @ a)
+    den = 1.0 + na2 + float(b @ b) + float(np.sum(c * c))
+    cct = c @ c.T
+    if math.sqrt(na2) > X_ZERO_TOL:
+        ahat = a / math.sqrt(na2)
+        q = na2 + float(ahat @ cct @ ahat)
+    else:
+        q = float(np.min(np.linalg.eigvalsh(cct)))
+    return 1.0 - (1.0 + float(b @ b) + q) / den
 
 
 def min_fidelity(f: FanoForm) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .decomp import X_ZERO_TOL, FanoForm
-from .linalg import IDENTITY_2, PAULIS, kron
+from .decomp import X_ZERO_TOL, fano_decompose
+from .linalg import PAULI_BASIS
 from .model import DensityMatrix, ModelParams, build_hamiltonian
 
 DEFAULT_GRID = (181, 361)
@@ -58,23 +58,19 @@ class OracleResult:
     refined: bool
 
 
-def _projectors(n):
-    ns = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-    p_plus = (IDENTITY_2 + ns) / 2.0
-    p_minus = (IDENTITY_2 - ns) / 2.0
-    return p_plus, p_minus
-
-
-def _apply_measurement(m, n):
-    p_plus, p_minus = _projectors(n)
-    kp = kron(p_plus, IDENTITY_2)
-    km = kron(p_minus, IDENTITY_2)
+def _measure(m, axes):
+    """m after measuring qubit a along each unit axis in axes, an array of
+    shape (..., 3), with the outcome discarded: P+ m P+ + P- m P- for the
+    projectors P+- = (I +- n.sigma)/2 x I.  Returns shape (..., 4, 4)."""
+    ns = np.einsum("...i,iab->...ab", axes, PAULI_BASIS[1:, 0])
+    kp = (np.eye(4) + ns) / 2.0
+    km = (np.eye(4) - ns) / 2.0
     return kp @ m @ kp + km @ m @ km
 
 
 def post_measurement_state(rho: DensityMatrix, axis: MeasurementAxis) -> DensityMatrix:
     """Measure qubit a along the axis and discard the outcome."""
-    return DensityMatrix(_apply_measurement(rho.matrix, axis.n))
+    return DensityMatrix(_measure(rho.matrix, axis.n))
 
 
 def fidelity_wang(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -85,39 +81,19 @@ def fidelity_wang(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(num / den)
 
 
-def _objective(m, n, kind):
-    sigma = _apply_measurement(m, n)
+def _objective(m, axes, kind):
+    """Disturbance of m by the measurement along each unit axis in axes, an
+    array of shape (..., 3); returns an array of shape (...)."""
+    sigma = _measure(m, axes)
     if kind == "hs_sq":
-        return float(np.sum(np.abs(m - sigma) ** 2))
+        return np.sum(np.abs(m - sigma) ** 2, axis=(-2, -1))
     if kind == "trace":
-        return float(np.sum(np.abs(np.linalg.eigvalsh(m - sigma))))
+        return np.sum(np.abs(np.linalg.eigvalsh(m - sigma)), axis=-1)
     if kind == "one_minus_fidelity":
-        num = np.trace(m @ sigma).real ** 2
-        den = np.trace(m @ m).real * np.trace(sigma @ sigma).real
-        return 1.0 - float(num / den)
-    raise ValueError(f"unknown objective kind {kind!r}")
-
-
-def _objective_batch(m, axes, kind):
-    """Vectorized _objective over an (K, 3) array of unit axes."""
-    stack = np.stack([kron(s, IDENTITY_2) for s in PAULIS])
-    ns = np.einsum("ki,iab->kab", axes, stack)
-    kp = (np.eye(4) + ns) / 2.0
-    km = (np.eye(4) - ns) / 2.0
-    sigma = kp @ m @ kp + km @ m @ km
-    if kind == "hs_sq":
-        return np.sum(np.abs(m - sigma) ** 2, axis=(1, 2))
-    if kind == "trace":
-        return np.sum(np.abs(np.linalg.eigvalsh(m - sigma)), axis=1)
-    if kind == "one_minus_fidelity":
-        num = np.einsum("ab,kba->k", m, sigma).real ** 2
-        den = np.trace(m @ m).real * np.einsum("kab,kba->k", sigma, sigma).real
+        num = np.einsum("ab,...ba->...", m, sigma).real ** 2
+        den = np.trace(m @ m).real * np.einsum("...ab,...ba->...", sigma, sigma).real
         return 1.0 - num / den
     raise ValueError(f"unknown objective kind {kind!r}")
-
-
-def _bloch_a(m):
-    return np.array([np.trace(m @ kron(s, IDENTITY_2)).real for s in PAULIS])
 
 
 def max_over_measurements(rho: DensityMatrix, kind: str,
@@ -128,12 +104,12 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
     norm ("trace"), or one minus the Wang fidelity ("one_minus_fidelity").
     """
     m = rho.matrix
-    a = _bloch_a(m)
+    a = fano_decompose(rho).bloch_a
     if np.linalg.norm(a) > X_ZERO_TOL:
         # only the axis parallel to the local Bloch vector leaves the reduced
         # state invariant: no optimization freedom
         axis = MeasurementAxis.from_vector(a)
-        return OracleResult(value=_objective(m, axis.n, kind),
+        return OracleResult(value=float(_objective(m, axis.n, kind)),
                             argmax_axis=axis, grid_resolution=(1, 1), refined=False)
 
     # antipodal axes define the same measurement: a hemisphere suffices, with
@@ -146,7 +122,7 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
     tt, pp = tt.ravel(), pp.ravel()
     axes = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
                      np.cos(tt)], axis=1)
-    vals = _objective_batch(m, axes, kind)
+    vals = _objective(m, axes, kind)
     k = int(np.argmax(vals))
     best_val, best_tp = float(vals[k]), (float(tt[k]), float(pp[k]))
 
@@ -154,7 +130,7 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
         th, ph = tp
         n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
                       math.cos(th)])
-        return -_objective(m, n, kind)
+        return -float(_objective(m, n, kind))
 
     res = minimize(neg, np.array(best_tp), method="Nelder-Mead",
                    options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": 600})
@@ -163,25 +139,6 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
     axis = MeasurementAxis(theta=float(best_tp[0]), phi=float(best_tp[1]) % (2 * math.pi))
     return OracleResult(value=float(best_val), argmax_axis=axis,
                         grid_resolution=(n_theta, n_phi), refined=True)
-
-
-def fidelity_min_spectral(f: FanoForm) -> float:
-    """1 - min_measurement F(rho, measured rho), reduced to spectral data.
-
-    With W = a a^t + C C^t (Pauli convention) the minimum fidelity is
-    (1 + |b|^2 + q) / (1 + |a|^2 + |b|^2 + |C|^2) where q = a^t W a / |a|^2
-    for a != 0 (pinned axis) and the smallest eigenvalue of C C^t otherwise.
-    """
-    a, b, c = f.bloch_a, f.bloch_b, f.pauli_corr
-    na2 = float(a @ a)
-    den = 1.0 + na2 + float(b @ b) + float(np.sum(c * c))
-    cct = c @ c.T
-    if math.sqrt(na2) > X_ZERO_TOL:
-        ahat = a / math.sqrt(na2)
-        q = na2 + float(ahat @ cct @ ahat)
-    else:
-        q = float(np.min(np.linalg.eigvalsh(cct)))
-    return 1.0 - (1.0 + float(b @ b) + q) / den
 
 
 def thermal_state_exp(p: ModelParams) -> DensityMatrix:

@@ -24,6 +24,13 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_state(rng):
+    """Random full-rank two-qubit state with complex coherences (not an X-state)."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
 def random_x_state(rng, zero_bloch_a=False):
     """Random X-state with real off-diagonals (diagonal Pauli correlations)."""
     d = rng.dirichlet(np.ones(4))

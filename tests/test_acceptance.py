@@ -14,6 +14,7 @@ from xyzmin.linalg import kron
 from xyzmin.measures import (
     concurrence_thermal,
     critical_window,
+    fidelity_min_spectral,
     measure_report,
     min_fidelity_thermal,
     min_hs,
@@ -29,7 +30,7 @@ from xyzmin.model import (
     thermal_elements,
     thermal_state,
 )
-from xyzmin.oracle import fidelity_min_spectral, max_over_measurements, thermal_state_exp
+from xyzmin.oracle import max_over_measurements, thermal_state_exp
 
 SMALL_GRID = (61, 121)
 

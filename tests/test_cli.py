@@ -107,6 +107,21 @@ def test_critical_degenerate(capsys):
     assert "J = 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["point", "--beta", "0"],
+    ["point", "--J", "nan"],
+    ["critical", "--J", "1", "--beta", "800"],
+    ["point", "--config", "/nonexistent/xyzmin.cfg"],
+], ids=["beta_zero", "J_nan", "critical_overflow", "missing_config"])
+def test_domain_errors_exit_2_with_one_line(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_figure_invalid_id(capsys):
     rc = main(["figure", "9"])
     assert rc == 2

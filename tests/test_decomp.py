@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import bell_phi_plus, maximally_mixed, random_params
+from conftest import bell_phi_plus, maximally_mixed, random_params, random_state
 from xyzmin.decomp import FanoForm, fano_decompose, reconstruct
 from xyzmin.errors import StateInvalid
 from xyzmin.model import ModelParams, thermal_elements, thermal_state
@@ -51,6 +51,22 @@ def test_round_trip(rng):
         rho = thermal_state(random_params(rng))
         back = reconstruct(fano_decompose(rho))
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
+
+
+def test_general_states_match_trace_definition(rng):
+    # complex, non-X states: every entry of the decomposition is exercised
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1])]
+    for _ in range(50):
+        rho = random_state(rng)
+        f = fano_decompose(rho)
+        r = np.array([[np.trace(rho.matrix @ np.kron(si, sj)).real for sj in paulis]
+                      for si in paulis])
+        assert np.max(np.abs(f.bloch_a - r[1:, 0])) < 1e-14
+        assert np.max(np.abs(f.bloch_b - r[0, 1:])) < 1e-14
+        assert np.max(np.abs(f.pauli_corr - r[1:, 1:])) < 1e-14
+        back = reconstruct(f)
+        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-14
 
 
 def test_all_zero_reconstructs_identity():

@@ -123,8 +123,8 @@ def test_low_temperature_raises_instead_of_inf():
         thermal_measures(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
     with pytest.raises(FloatingPointError):
         thermal_elements(p)
-    with pytest.raises(FloatingPointError):
-        main(["point", "--J", "1", "--beta", "800"])
+    # the CLI turns the FloatingPointError into a one-line error and exit 2
+    assert main(["point", "--J", "1", "--beta", "800"]) == 2
 
 
 def test_batch_runs_the_model_params_checks():

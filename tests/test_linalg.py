@@ -1,71 +1,15 @@
 import numpy as np
 import pytest
 
-from xyzmin.errors import NotHermitian
-from xyzmin.linalg import (
-    SIGMA_X,
-    SIGMA_Z,
-    as_matrix,
-    hermitian_eig,
-    hs_norm,
-    is_hermitian,
-    kron,
-    trace_norm,
-)
+from xyzmin.linalg import SIGMA_X, SIGMA_Z, as_matrix, is_hermitian, kron
 from xyzmin.model import ModelParams, build_hamiltonian, closed_form_spectrum
-
-
-def test_identity_eigenvalues():
-    w, _ = hermitian_eig(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
-
-
-def test_sigma_z_eigensystem():
-    w, v = hermitian_eig(SIGMA_Z)
-    assert np.allclose(w, [1.0, -1.0])
-    assert np.allclose(np.abs(v[:, 0]), [1.0, 0.0])
-    assert np.allclose(np.abs(v[:, 1]), [0.0, 1.0])
 
 
 def test_hamiltonian_eigenvalues_match_closed_form():
     p = ModelParams(J=1.0, Jz=1.0)
-    w, _ = hermitian_eig(build_hamiltonian(p))
+    w = np.linalg.eigvalsh(build_hamiltonian(p))[::-1]
     expected = sorted(closed_form_spectrum(p).energies, reverse=True)
     assert np.allclose(w, expected, atol=1e-12)
-
-
-def test_reconstruction_and_unitarity(rng):
-    for _ in range(50):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = a + a.conj().T
-        w, v = hermitian_eig(m)
-        assert np.all(np.diff(w) <= 1e-12)
-        assert np.max(np.abs(v @ v.conj().T - np.eye(4))) < 1e-10
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-10
-
-
-def test_not_hermitian_rejected():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(NotHermitian):
-        trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_norm_examples():
-    assert hs_norm(SIGMA_X) == pytest.approx(np.sqrt(2), abs=1e-14)
-    assert trace_norm(SIGMA_Z) == pytest.approx(2.0, abs=1e-14)
-    assert trace_norm(np.diag([0.5, 0.0, 0.0, -0.5])) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_norm_relations(rng):
-    for _ in range(25):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = a + a.conj().T
-        w = np.linalg.eigvalsh(m)
-        assert hs_norm(m) ** 2 == pytest.approx(float(np.sum(w ** 2)), rel=1e-12)
-        assert trace_norm(m) >= hs_norm(m) - 1e-12
-    assert hs_norm(np.zeros((4, 4))) == 0.0
-    assert trace_norm(np.zeros((4, 4))) == 0.0
 
 
 def test_kron_dimensions():

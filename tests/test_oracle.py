@@ -7,14 +7,14 @@ from conftest import (
     bell_phi_plus,
     maximally_mixed,
     random_params,
+    random_state,
     random_x_state,
 )
 from xyzmin.decomp import fano_decompose
-from xyzmin.measures import min_hs, min_trace
+from xyzmin.measures import fidelity_min_spectral, min_hs, min_trace
 from xyzmin.model import DensityMatrix, ModelParams, thermal_state
 from xyzmin.oracle import (
     MeasurementAxis,
-    fidelity_min_spectral,
     fidelity_wang,
     max_over_measurements,
     post_measurement_state,
@@ -134,6 +134,17 @@ class TestMaxOverMeasurements:
                 v = rng.normal(size=3)
                 assert res.value >= _objective(rho.matrix, v / np.linalg.norm(v),
                                                kind) - 1e-10
+
+    def test_objective_batch_equals_single_axis_calls(self, rng):
+        from xyzmin.oracle import _objective
+        for rho in (random_state(rng), thermal_state(random_params(rng))):
+            axes = rng.normal(size=(16, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            for kind in ("hs_sq", "trace", "one_minus_fidelity"):
+                batch = _objective(rho.matrix, axes, kind)
+                single = [float(_objective(rho.matrix, n, kind)) for n in axes]
+                assert batch.shape == (16,)
+                assert np.max(np.abs(batch - single)) <= 1e-15
 
     def test_hs_oracle_matches_branch_formula_at_zero_bloch(self, rng):
         for _ in range(5):
