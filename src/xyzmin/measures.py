@@ -105,34 +105,53 @@ def concurrence_thermal(t: ThermalElements) -> float:
     return 2.0 * max(0.0, a, b)
 
 
+def _log_geo(x, r, one_minus_r):
+    """log sqrt((cosh x + r sinh x)(cosh x - r sinh x)) for x >= 0 and
+    0 <= r <= 1, given 1 - r.  Each factor is shifted by x, so the value stays
+    finite where cosh and sinh overflow:
+    log(cosh x +- r sinh x) = x + log(((1 +- r) + (1 -+ r) e^(-2x)) / 2)."""
+    e = math.exp(-2.0 * x)
+    return x + 0.5 * (math.log(((1.0 + r) + one_minus_r * e) / 2.0)
+                      + math.log((one_minus_r + (1.0 + r) * e) / 2.0))
+
+
+def _log_sinh(x):
+    """log sinh x for x > 0, shifted by x: x + log(-expm1(-2x) / 2)."""
+    return x + math.log(-math.expm1(-2.0 * x) / 2.0)
+
+
 def critical_window(p: ModelParams) -> CriticalWindow:
     """Bounds [jc1, jc2] of the zero-concurrence window in Jz.
 
     Derived from the vanishing conditions of the two thermal concurrence
     branches; reduces to the standard printed expressions at lam = 0,
-    beta = 1.  Raises DomainError at J = 0 where jc2 is undefined.
+    beta = 1.  Evaluated as logs, so it stays finite at low temperature
+    (large beta times energy).  Raises DomainError at J = 0 where jc2 is
+    undefined.
     """
     if p.J == 0.0:
         raise DomainError("jc2 is undefined at J = 0 (degenerate model)")
     b = p.beta
     g = abs(p.gamma * p.J)
-    eta = math.hypot(p.B, p.gamma * p.J)
+    j = abs(p.J)
     delta = math.hypot(p.lam, p.J)
-    # sqrt(mu+ mu-) and sqrt(nu+ nu-) without the exp(-+ beta Jz/2) factors
-    if eta > 0:
-        mu_geo = math.sqrt(max(
-            0.0, math.cosh(b * eta) ** 2 - (p.B / eta) ** 2 * math.sinh(b * eta) ** 2
-        ))
+    # sqrt(mu+ mu-) and sqrt(nu+ nu-) without the exp(-+ beta Jz/2) factors are
+    # sqrt((cosh x + r sinh x)(cosh x - r sinh x)), at x = beta eta, r = |B|/eta
+    # and at x = beta delta, r = |lam|/delta; 1 - r is formed as a product of
+    # ratios (g^2 / (eta (eta + |B|)) for mu) to avoid the cancellation
+    log_nu_geo = _log_geo(b * delta, abs(p.lam) / delta,
+                          (j / delta) * (j / (delta + abs(p.lam))))
+    log_eps_mag = math.log(j / delta) + _log_sinh(b * delta)
+    if g > 0:
+        eta = math.hypot(p.B, p.gamma * p.J)
+        log_mu_geo = _log_geo(b * eta, abs(p.B) / eta, (g / eta) * (g / (eta + abs(p.B))))
+        log_kappa_mag = math.log(g / eta) + _log_sinh(b * eta)
+        jc1 = (log_kappa_mag - log_nu_geo) / b
     else:
-        mu_geo = 1.0
-    nu_geo = math.sqrt(max(
-        0.0,
-        math.cosh(b * delta) ** 2 - (p.lam / delta) ** 2 * math.sinh(b * delta) ** 2,
-    ))
-    kappa_mag = (g / eta) * math.sinh(b * eta) if eta > 0 else 0.0
-    eps_mag = (abs(p.J) / delta) * math.sinh(b * delta)
-    jc1 = math.log(kappa_mag / nu_geo) / b if kappa_mag > 0 else -math.inf
-    jc2 = math.log(mu_geo / eps_mag) / b
+        # no anisotropy channel: kappa vanishes and mu+ mu- = 1
+        log_mu_geo = 0.0
+        jc1 = -math.inf
+    jc2 = (log_mu_geo - log_eps_mag) / b
     return CriticalWindow(jc1=jc1, jc2=jc2)
 
 

@@ -5,6 +5,12 @@ value is obtained by explicitly applying von Neumann measurements (projector
 algebra) and evaluating norms / fidelity from their definitions.  These
 routines arbitrate every closed formula in the package.
 
+The measured state is formed explicitly.  For the projectors
+P+- = (I +- N)/2 with N = n.sigma x I, the identity N^2 = I gives
+P+ m P+ + P- m P- = (m + N m N)/2, and N m N = sum_ij n_i n_j S_i m S_j with
+S_i = sigma_i x I; the nine sandwiches S_i m S_j are built once per call, so
+a batch of axes costs one product with that table.
+
 The maximization runs over measurements that leave the reduced state of the
 measured qubit unchanged (the defining constraint of these measures).  When
 the local Bloch vector is nonzero this pins the measurement axis to it; when
@@ -61,11 +67,17 @@ class OracleResult:
 def _measure(m, axes):
     """m after measuring qubit a along each unit axis in axes, an array of
     shape (..., 3), with the outcome discarded: P+ m P+ + P- m P- for the
-    projectors P+- = (I +- n.sigma)/2 x I.  Returns shape (..., 4, 4)."""
-    ns = np.einsum("...i,iab->...ab", axes, PAULI_BASIS[1:, 0])
-    kp = (np.eye(4) + ns) / 2.0
-    km = (np.eye(4) - ns) / 2.0
-    return kp @ m @ kp + km @ m @ km
+    projectors P+- = (I +- N)/2, N = n.sigma x I.  Returns shape (..., 4, 4).
+
+    Since N^2 = I this equals (m + N m N)/2, and N m N is the sum of the nine
+    sandwiches S_i m S_j (S_i = sigma_i x I) weighted by n_i n_j; the table
+    holds them as real rows, real and imaginary parts interleaved."""
+    s = PAULI_BASIS[1:, 0]
+    table = ((s @ m)[:, None] @ s).reshape(9, 16).view(float)
+    lead = axes.shape[:-1]
+    q = (axes[..., :, None] * axes[..., None, :]).reshape(*lead, 9)
+    nmn = np.einsum("...k,kc->...c", q, table).view(complex).reshape(*lead, 4, 4)
+    return (m + nmn) / 2.0
 
 
 def post_measurement_state(rho: DensityMatrix, axis: MeasurementAxis) -> DensityMatrix:
@@ -73,12 +85,17 @@ def post_measurement_state(rho: DensityMatrix, axis: MeasurementAxis) -> Density
     return DensityMatrix(_measure(rho.matrix, axis.n))
 
 
+def _wang(r, s):
+    """(Tr r s)^2 / (Tr r^2 Tr s^2), broadcast over the leading axes of r and s."""
+    num = np.einsum("...ab,...ba->...", r, s).real ** 2
+    den = (np.einsum("...ab,...ba->...", r, r).real
+           * np.einsum("...ab,...ba->...", s, s).real)
+    return num / den
+
+
 def fidelity_wang(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(Tr rho sigma)^2 / (Tr rho^2 Tr sigma^2); symmetric, 1 iff rho = sigma."""
-    r, s = rho.matrix, sigma.matrix
-    num = np.trace(r @ s).real ** 2
-    den = np.trace(r @ r).real * np.trace(s @ s).real
-    return float(num / den)
+    return float(_wang(rho.matrix, sigma.matrix))
 
 
 def _objective(m, axes, kind):
@@ -90,9 +107,7 @@ def _objective(m, axes, kind):
     if kind == "trace":
         return np.sum(np.abs(np.linalg.eigvalsh(m - sigma)), axis=-1)
     if kind == "one_minus_fidelity":
-        num = np.einsum("ab,...ba->...", m, sigma).real ** 2
-        den = np.trace(m @ m).real * np.einsum("...ab,...ba->...", sigma, sigma).real
-        return 1.0 - num / den
+        return 1.0 - _wang(m, sigma)
     raise ValueError(f"unknown objective kind {kind!r}")
 
 

@@ -100,6 +100,14 @@ def test_critical_examples(capsys):
     assert float(vals["jc2"]) == pytest.approx(-4.306, abs=1e-3)
 
 
+def test_critical_low_temperature(capsys):
+    rc, out = run(capsys, "critical", "--J", "1", "--beta", "800")
+    assert rc == 0
+    vals = parse_point(out)
+    assert vals["jc1"] == "unbounded"
+    assert float(vals["jc2"]) == pytest.approx(-1.0 + math.log(2.0) / 800.0, abs=1e-6)
+
+
 def test_critical_degenerate(capsys):
     rc = main(["critical", "--J", "0"])
     err = capsys.readouterr().err
@@ -110,9 +118,9 @@ def test_critical_degenerate(capsys):
 @pytest.mark.parametrize("argv", [
     ["point", "--beta", "0"],
     ["point", "--J", "nan"],
-    ["critical", "--J", "1", "--beta", "800"],
+    ["point", "--J", "1", "--beta", "800"],
     ["point", "--config", "/nonexistent/xyzmin.cfg"],
-], ids=["beta_zero", "J_nan", "critical_overflow", "missing_config"])
+], ids=["beta_zero", "J_nan", "point_overflow", "missing_config"])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

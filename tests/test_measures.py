@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +61,28 @@ class TestConcurrence:
             assert dev < 1e-12
 
 
+def critical_window_mp(p):
+    """jc1, jc2 from the direct cosh/sinh form of the window, in 60-digit
+    arithmetic (no overflow at any beta)."""
+    with mpmath.workdps(60):
+        b, j, B, lam = (mpmath.mpf(v) for v in (p.beta, p.J, p.B, p.lam))
+        g = abs(mpmath.mpf(p.gamma) * j)
+        eta = mpmath.sqrt(B ** 2 + g ** 2)
+        delta = mpmath.sqrt(lam ** 2 + j ** 2)
+        if eta > 0:
+            mu_geo = mpmath.sqrt(mpmath.cosh(b * eta) ** 2
+                                 - (B / eta) ** 2 * mpmath.sinh(b * eta) ** 2)
+            kappa_mag = (g / eta) * mpmath.sinh(b * eta)
+        else:
+            mu_geo, kappa_mag = mpmath.mpf(1), mpmath.mpf(0)
+        nu_geo = mpmath.sqrt(mpmath.cosh(b * delta) ** 2
+                             - (lam / delta) ** 2 * mpmath.sinh(b * delta) ** 2)
+        eps_mag = (abs(j) / delta) * mpmath.sinh(b * delta)
+        jc1 = mpmath.log(kappa_mag / nu_geo) / b if kappa_mag > 0 else -math.inf
+        jc2 = mpmath.log(mu_geo / eps_mag) / b
+        return float(jc1), float(jc2)
+
+
 class TestCriticalWindow:
     def test_xxz_j1(self):
         w = critical_window(ModelParams(J=1.0))
@@ -79,6 +102,28 @@ class TestCriticalWindow:
     def test_degenerate_j_zero(self):
         with pytest.raises(DomainError):
             critical_window(ModelParams(J=0.0))
+
+    @pytest.mark.parametrize("params", [
+        dict(J=1.0, beta=800.0),
+        dict(J=1.0, gamma=0.5, B=2.0, lam=0.3, beta=1e4),
+        dict(J=1.3, Jz=0.2, gamma=-0.4, B=0.7, lam=-0.5),
+    ], ids=["low_temperature", "low_temperature_anisotropic", "generic"])
+    def test_matches_extended_precision(self, params):
+        ref_jc1, ref_jc2 = critical_window_mp(ModelParams(**params))
+        w = critical_window(ModelParams(**params))
+        if ref_jc1 == -math.inf:
+            assert w.jc1_unbounded
+        else:
+            assert abs(w.jc1 - ref_jc1) <= 1e-12 * abs(ref_jc1)
+        assert abs(w.jc2 - ref_jc2) <= 1e-12 * abs(ref_jc2)
+
+    def test_low_temperature_reference_values(self):
+        assert critical_window_mp(ModelParams(J=1.0, beta=800.0))[1] == \
+            pytest.approx(-0.9991335660243, abs=1e-13)
+        jc1, jc2 = critical_window_mp(ModelParams(J=1.0, gamma=0.5, B=2.0, lam=0.3,
+                                                  beta=1e4))
+        assert jc1 == pytest.approx(1.0173848101353844, abs=1e-15)
+        assert jc2 == pytest.approx(1.0173848101353844, abs=1e-15)
 
     def test_window_matches_concurrence_zero_set(self, rng):
         for _ in range(25):

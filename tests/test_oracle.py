@@ -14,7 +14,10 @@ from xyzmin.decomp import fano_decompose
 from xyzmin.measures import fidelity_min_spectral, min_hs, min_trace
 from xyzmin.model import DensityMatrix, ModelParams, thermal_state
 from xyzmin.oracle import (
+    DEFAULT_GRID,
     MeasurementAxis,
+    _measure,
+    _objective,
     fidelity_wang,
     max_over_measurements,
     post_measurement_state,
@@ -24,6 +27,45 @@ from xyzmin.oracle import (
 Z_AXIS = MeasurementAxis(theta=0.0, phi=0.0)
 X_AXIS = MeasurementAxis(theta=math.pi / 2, phi=0.0)
 SMALL_GRID = (61, 121)
+KINDS = ("hs_sq", "trace", "one_minus_fidelity")
+
+_SIGMA_A = [np.kron(np.array(p, dtype=complex), np.eye(2)) for p in
+            ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+
+
+def projector_measure(m, axes):
+    """Reference: the literal projector form kp m kp + km m km with
+    kp, km = (I +- n.sigma x I)/2, for axes of shape (..., 3)."""
+    ns = sum(axes[..., i, None, None] * _SIGMA_A[i] for i in range(3))
+    kp = (np.eye(4) + ns) / 2.0
+    km = (np.eye(4) - ns) / 2.0
+    return kp @ m @ kp + km @ m @ km
+
+
+def projector_objective(m, axes, kind):
+    """Reference disturbances, from their definitions on m - sigma."""
+    sigma = projector_measure(m, axes)
+    d = m - sigma
+    if kind == "hs_sq":
+        return np.sum(np.abs(d) ** 2, axis=(-2, -1))
+    if kind == "trace":
+        return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=-1)
+    tr_ms = np.trace(m @ sigma, axis1=-2, axis2=-1).real
+    tr_ss = np.trace(sigma @ sigma, axis1=-2, axis2=-1).real
+    return 1.0 - tr_ms ** 2 / (np.trace(m @ m).real * tr_ss)
+
+
+def default_grid_axes():
+    """The hemisphere of axes that max_over_measurements searches at DEFAULT_GRID."""
+    tt, pp = np.meshgrid(np.linspace(0.0, math.pi / 2, DEFAULT_GRID[0] // 2 + 1),
+                         np.linspace(0.0, 2 * math.pi, DEFAULT_GRID[1], endpoint=False),
+                         indexing="ij")
+    return np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+
+
+def unit_axes(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 class TestMeasurementAxis:
@@ -73,6 +115,25 @@ class TestPostMeasurement:
         once = post_measurement_state(rho, axis)
         twice = post_measurement_state(once, axis)
         assert np.max(np.abs(once.matrix - twice.matrix)) < 1e-12
+
+
+class TestMeasureMatchesProjectors:
+    def test_general_states_all_axis_shapes(self, rng):
+        for _ in range(5):
+            m = random_state(rng).matrix
+            for shape in ((), (7,), (3, 5)):
+                axes = unit_axes(rng, shape)
+                out = _measure(m, axes)
+                assert out.shape == shape + (4, 4)
+                assert np.max(np.abs(out - projector_measure(m, axes))) <= 1e-15
+
+    def test_objective_over_default_grid(self):
+        m = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)).matrix
+        axes = default_grid_axes().reshape(-1, 3)
+        assert len(axes) == 91 * 361
+        for kind in KINDS:
+            dev = np.abs(_objective(m, axes, kind) - projector_objective(m, axes, kind))
+            assert np.max(dev) <= 1e-14
 
 
 class TestFidelityWang:
@@ -126,7 +187,6 @@ class TestMaxOverMeasurements:
             min_hs_thermal(thermal_elements(p)), abs=1e-10)
 
     def test_grid_value_dominates_random_axes_when_unconstrained(self, rng):
-        from xyzmin.oracle import _objective
         rho = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8))
         for kind in ("hs_sq", "trace", "one_minus_fidelity"):
             res = max_over_measurements(rho, kind, grid=SMALL_GRID)
@@ -136,7 +196,6 @@ class TestMaxOverMeasurements:
                                                kind) - 1e-10
 
     def test_objective_batch_equals_single_axis_calls(self, rng):
-        from xyzmin.oracle import _objective
         for rho in (random_state(rng), thermal_state(random_params(rng))):
             axes = rng.normal(size=(16, 3))
             axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -145,6 +204,25 @@ class TestMaxOverMeasurements:
                 single = [float(_objective(rho.matrix, n, kind)) for n in axes]
                 assert batch.shape == (16,)
                 assert np.max(np.abs(batch - single)) <= 1e-15
+
+    # values of the projector-form oracle at DEFAULT_GRID (hs_sq, trace,
+    # one_minus_fidelity) on zero-Bloch thermal states
+    PINNED = [
+        (dict(J=1.2, Jz=-0.7, gamma=0.8),
+         (0.16682261013478128, 0.7778114250330088, 0.3947374814281259)),
+        (dict(J=2.0, Jz=0.5, gamma=0.3, beta=0.7),
+         (0.21830159847003808, 0.756871217114269, 0.4162520455345876)),
+        (dict(J=-1.5, Jz=1.1, gamma=-0.6, beta=2.0),
+         (0.46476448682190263, 0.9934591971637835, 0.4990065074265738)),
+    ]
+
+    @pytest.mark.parametrize("params,values", PINNED)
+    def test_default_grid_values_pinned(self, params, values):
+        rho = thermal_state(ModelParams(**params))
+        for kind, value in zip(KINDS, values):
+            res = max_over_measurements(rho, kind)
+            assert res.refined
+            assert abs(res.value - value) <= 1e-14
 
     def test_hs_oracle_matches_branch_formula_at_zero_bloch(self, rng):
         for _ in range(5):
