@@ -184,6 +184,9 @@ def cmd_figure(args):
     if args.figure_id not in FIGURE_PRESETS:
         print("error: figure id must be 1..5", file=sys.stderr)
         return 2
+    if args.steps < 2:
+        print("error: need --steps >= 2", file=sys.stderr)
+        return 2
     vary, start, stop, lock, variants = FIGURE_PRESETS[args.figure_id]
     stem = args.out or f"figure{args.figure_id}"
     if stem.endswith(".csv"):

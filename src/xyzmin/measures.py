@@ -105,14 +105,17 @@ def concurrence_thermal(t: ThermalElements) -> float:
     return 2.0 * max(0.0, a, b)
 
 
-def _log_geo(x, r, one_minus_r):
+def _log_geo(x, r, log_one_minus_r):
     """log sqrt((cosh x + r sinh x)(cosh x - r sinh x)) for x >= 0 and
-    0 <= r <= 1, given 1 - r.  Each factor is shifted by x, so the value stays
-    finite where cosh and sinh overflow:
-    log(cosh x +- r sinh x) = x + log(((1 +- r) + (1 -+ r) e^(-2x)) / 2)."""
-    e = math.exp(-2.0 * x)
-    return x + 0.5 * (math.log(((1.0 + r) + one_minus_r * e) / 2.0)
-                      + math.log((one_minus_r + (1.0 + r) * e) / 2.0))
+    0 <= r <= 1, given log(1 - r).  Each factor is shifted by x, so the value
+    stays finite where cosh and sinh overflow:
+    log(cosh x +- r sinh x) = x + log(((1 +- r) + (1 -+ r) e^(-2x)) / 2).
+    The minus factor is a log-add-exp of log(1 - r) and log(1 + r) - 2x, so
+    it stays finite where 1 - r and e^(-2x) both underflow."""
+    log_plus = math.log(((1.0 + r) + math.exp(log_one_minus_r - 2.0 * x)) / 2.0)
+    a, b = log_one_minus_r, math.log1p(r) - 2.0 * x
+    log_minus = max(a, b) + math.log1p(math.exp(-abs(a - b))) - math.log(2.0)
+    return x + 0.5 * (log_plus + log_minus)
 
 
 def _log_sinh(x):
@@ -137,14 +140,16 @@ def critical_window(p: ModelParams) -> CriticalWindow:
     delta = math.hypot(p.lam, p.J)
     # sqrt(mu+ mu-) and sqrt(nu+ nu-) without the exp(-+ beta Jz/2) factors are
     # sqrt((cosh x + r sinh x)(cosh x - r sinh x)), at x = beta eta, r = |B|/eta
-    # and at x = beta delta, r = |lam|/delta; 1 - r is formed as a product of
-    # ratios (g^2 / (eta (eta + |B|)) for mu) to avoid the cancellation
+    # and at x = beta delta, r = |lam|/delta; log(1 - r) is formed from
+    # 1 - r = g^2 / (eta (eta + |B|)) for mu (and alike for nu), which avoids
+    # the cancellation and stays finite where g^2 underflows
     log_nu_geo = _log_geo(b * delta, abs(p.lam) / delta,
-                          (j / delta) * (j / (delta + abs(p.lam))))
+                          2.0 * math.log(j) - math.log(delta) - math.log(delta + abs(p.lam)))
     log_eps_mag = math.log(j / delta) + _log_sinh(b * delta)
     if g > 0:
         eta = math.hypot(p.B, p.gamma * p.J)
-        log_mu_geo = _log_geo(b * eta, abs(p.B) / eta, (g / eta) * (g / (eta + abs(p.B))))
+        log_mu_geo = _log_geo(b * eta, abs(p.B) / eta,
+                              2.0 * math.log(g) - math.log(eta) - math.log(eta + abs(p.B)))
         log_kappa_mag = math.log(g / eta) + _log_sinh(b * eta)
         jc1 = (log_kappa_mag - log_nu_geo) / b
     else:

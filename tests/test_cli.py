@@ -108,6 +108,17 @@ def test_critical_low_temperature(capsys):
     assert float(vals["jc2"]) == pytest.approx(-1.0 + math.log(2.0) / 800.0, abs=1e-6)
 
 
+def test_critical_underflowing_anisotropy(capsys):
+    # (gamma J / eta)^2 underflows and beta eta is large: 1 - |B|/eta and
+    # exp(-2 beta eta) are both 0 in floating point
+    rc, out = run(capsys, "critical", "--J", "1", "--gamma", "1e-200", "--B", "1",
+                  "--beta", "500")
+    assert rc == 0
+    vals = parse_point(out)
+    assert float(vals["jc1"]) == pytest.approx(-0.921034037198, abs=1e-12)
+    assert float(vals["jc2"]) == pytest.approx(-0.921034037198, abs=1e-12)
+
+
 def test_critical_degenerate(capsys):
     rc = main(["critical", "--J", "0"])
     err = capsys.readouterr().err
@@ -133,6 +144,17 @@ def test_domain_errors_exit_2_with_one_line(argv, capsys):
 def test_figure_invalid_id(capsys):
     rc = main(["figure", "9"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_figure_steps_below_two(steps, tmp_path, capsys):
+    stem = tmp_path / "fig1"
+    rc = main(["figure", "1", "--steps", steps, "--out", str(stem)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_figure_emits_csvs(tmp_path, capsys):

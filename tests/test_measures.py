@@ -62,9 +62,10 @@ class TestConcurrence:
 
 
 def critical_window_mp(p):
-    """jc1, jc2 from the direct cosh/sinh form of the window, in 60-digit
-    arithmetic (no overflow at any beta)."""
-    with mpmath.workdps(60):
+    """jc1, jc2 from the direct cosh/sinh form of the window, in 1,200-digit
+    arithmetic (no overflow at any beta).  At J = 1, gamma = 1e-200, B = 1,
+    beta = 500 the form cancels in more than 400 leading digits."""
+    with mpmath.workdps(1200):
         b, j, B, lam = (mpmath.mpf(v) for v in (p.beta, p.J, p.B, p.lam))
         g = abs(mpmath.mpf(p.gamma) * j)
         eta = mpmath.sqrt(B ** 2 + g ** 2)
@@ -107,7 +108,9 @@ class TestCriticalWindow:
         dict(J=1.0, beta=800.0),
         dict(J=1.0, gamma=0.5, B=2.0, lam=0.3, beta=1e4),
         dict(J=1.3, Jz=0.2, gamma=-0.4, B=0.7, lam=-0.5),
-    ], ids=["low_temperature", "low_temperature_anisotropic", "generic"])
+        dict(J=1.0, gamma=1e-200, B=1.0, beta=500.0),
+    ], ids=["low_temperature", "low_temperature_anisotropic", "generic",
+            "underflowing_anisotropy"])
     def test_matches_extended_precision(self, params):
         ref_jc1, ref_jc2 = critical_window_mp(ModelParams(**params))
         w = critical_window(ModelParams(**params))
@@ -124,6 +127,9 @@ class TestCriticalWindow:
                                                   beta=1e4))
         assert jc1 == pytest.approx(1.0173848101353844, abs=1e-15)
         assert jc2 == pytest.approx(1.0173848101353844, abs=1e-15)
+        jc1, jc2 = critical_window_mp(ModelParams(J=1.0, gamma=1e-200, B=1.0, beta=500.0))
+        assert jc1 == pytest.approx(-0.92103403719761827, abs=1e-15)
+        assert jc2 == pytest.approx(-0.92103403719761827, abs=1e-15)
 
     def test_window_matches_concurrence_zero_set(self, rng):
         for _ in range(25):

@@ -16,6 +16,9 @@ from xyzmin.model import DensityMatrix, ModelParams, thermal_state
 from xyzmin.oracle import (
     DEFAULT_GRID,
     MeasurementAxis,
+    _Sandwiches,
+    _axis_products,
+    _grid,
     _measure,
     _objective,
     fidelity_wang,
@@ -53,6 +56,14 @@ def projector_objective(m, axes, kind):
     tr_ms = np.trace(m @ sigma, axis1=-2, axis2=-1).real
     tr_ss = np.trace(sigma @ sigma, axis1=-2, axis2=-1).real
     return 1.0 - tr_ms ** 2 / (np.trace(m @ m).real * tr_ss)
+
+
+def measure(m, axes):
+    return _measure(_Sandwiches(m), _axis_products(axes))
+
+
+def objective(m, axes, kind):
+    return _objective(_Sandwiches(m), _axis_products(axes), kind)
 
 
 def default_grid_axes():
@@ -123,17 +134,21 @@ class TestMeasureMatchesProjectors:
             m = random_state(rng).matrix
             for shape in ((), (7,), (3, 5)):
                 axes = unit_axes(rng, shape)
-                out = _measure(m, axes)
+                out = measure(m, axes)
                 assert out.shape == shape + (4, 4)
                 assert np.max(np.abs(out - projector_measure(m, axes))) <= 1e-15
 
-    def test_objective_over_default_grid(self):
-        m = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)).matrix
+    def test_objective_over_default_grid(self, rng):
         axes = default_grid_axes().reshape(-1, 3)
         assert len(axes) == 91 * 361
-        for kind in KINDS:
-            dev = np.abs(_objective(m, axes, kind) - projector_objective(m, axes, kind))
-            assert np.max(dev) <= 1e-14
+        # a zero-Bloch thermal X-state and two complex non-X states: the
+        # quadratic forms assume no X-state structure
+        states = [thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)).matrix,
+                  random_state(rng).matrix, random_state(rng).matrix]
+        for m in states:
+            for kind in KINDS:
+                dev = np.abs(objective(m, axes, kind) - projector_objective(m, axes, kind))
+                assert np.max(dev) <= 1e-14
 
 
 class TestFidelityWang:
@@ -192,18 +207,31 @@ class TestMaxOverMeasurements:
             res = max_over_measurements(rho, kind, grid=SMALL_GRID)
             for _ in range(64):
                 v = rng.normal(size=3)
-                assert res.value >= _objective(rho.matrix, v / np.linalg.norm(v),
-                                               kind) - 1e-10
+                assert res.value >= objective(rho.matrix, v / np.linalg.norm(v),
+                                              kind) - 1e-10
 
     def test_objective_batch_equals_single_axis_calls(self, rng):
         for rho in (random_state(rng), thermal_state(random_params(rng))):
             axes = rng.normal(size=(16, 3))
             axes /= np.linalg.norm(axes, axis=1, keepdims=True)
             for kind in ("hs_sq", "trace", "one_minus_fidelity"):
-                batch = _objective(rho.matrix, axes, kind)
-                single = [float(_objective(rho.matrix, n, kind)) for n in axes]
+                batch = objective(rho.matrix, axes, kind)
+                single = [float(objective(rho.matrix, n, kind)) for n in axes]
                 assert batch.shape == (16,)
                 assert np.max(np.abs(batch - single)) <= 1e-15
+
+    def test_grid_cached_read_only_and_calls_repeat_bitwise(self):
+        for a in _grid(DEFAULT_GRID):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        rho = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8))
+        for kind in KINDS:
+            first = max_over_measurements(rho, kind)
+            second = max_over_measurements(rho, kind)
+            assert (second.value, second.argmax_axis, second.grid_resolution,
+                    second.refined) == (first.value, first.argmax_axis,
+                                        first.grid_resolution, first.refined)
 
     # values of the projector-form oracle at DEFAULT_GRID (hs_sq, trace,
     # one_minus_fidelity) on zero-Bloch thermal states
