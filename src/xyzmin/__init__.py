@@ -10,19 +10,12 @@ from .errors import (
 )
 from .measures import (
     CriticalWindow,
-    MeasureReport,
     ThermalMeasures,
     concurrence,
-    concurrence_thermal,
     critical_window,
-    fidelity_min_spectral,
-    measure_report,
     min_fidelity,
-    min_fidelity_thermal,
     min_hs,
-    min_hs_thermal,
     min_trace,
-    min_trace_thermal,
     thermal_measures,
 )
 from .model import (

@@ -1,14 +1,13 @@
 """Closed-form correlation measures for two-qubit states.
 
-Concurrence (general and thermal), the critical coupling window where the
-thermal concurrence vanishes, and the three measurement-induced nonlocality
-variants: Hilbert-Schmidt (min_hs), trace distance (min_trace) and fidelity
-(min_fidelity), plus their thermal-state specializations.
-
-Where the printed thermal trace-distance formula and the general closed form
-disagree (they differ by a constant factor), both are exposed:
-min_trace_thermal returns the printed value, min_trace the general form that
-the trace-norm oracle confirms.
+General closed forms: the Wootters concurrence of a density matrix, and the
+Hilbert-Schmidt (min_hs), trace-distance (min_trace) and fidelity
+(min_fidelity) MIN of a Fano form.  The X-state kernel thermal_measures is
+the one thermal path: the concurrence and every MIN variant from the six
+thermal elements, for a batch of points.  critical_window bounds the
+zero-concurrence window in Jz.  The printed thermal trace-distance formula is
+half the general closed form that the trace-norm oracle confirms; the kernel
+returns both, as min_trace_paper and min_trace.
 """
 
 import math
@@ -50,15 +49,6 @@ class CriticalWindow:
         return self.jc1 <= jz <= self.jc2
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    concurrence: float
-    min_hs: float
-    min_trace: float
-    min_trace_paper: float
-    min_fidelity: float
-
-
 @dataclass(frozen=True, eq=False)
 class ThermalMeasures:
     """Every quantity of a batch of thermal X-states, one array per field
@@ -96,13 +86,6 @@ def concurrence(rho: DensityMatrix) -> float:
     root = (v * np.sqrt(w)) @ v.conj().T
     sv = np.linalg.svd(np.conj(root) @ _SPIN_FLIP @ root, compute_uv=False)
     return float(max(0.0, sv[0] - sv[1] - sv[2] - sv[3]))
-
-
-def concurrence_thermal(t: ThermalElements) -> float:
-    """Concurrence of the Gibbs X-state from its closed-form elements."""
-    a = (abs(t.kappa) - math.sqrt(t.nu_plus * t.nu_minus)) / t.Z
-    b = (abs(t.epsilon) - math.sqrt(t.mu_plus * t.mu_minus)) / t.Z
-    return 2.0 * max(0.0, a, b)
 
 
 def _log_geo(x, r, log_one_minus_r):
@@ -201,23 +184,9 @@ def min_trace(f: FanoForm) -> float:
     return (math.sqrt(chi_p) + math.sqrt(chi_m)) / (2.0 * nx)
 
 
-def _min_fidelity_printed(f: FanoForm) -> float:
-    """Printed fidelity-MIN formula, full-Gamma convention, x != 0 branch."""
-    nx = float(np.linalg.norm(f.bloch_a))
-    xhat = f.bloch_a / nx
-    a_op = np.empty((2, 4))
-    a_op[0, 0] = a_op[1, 0] = 1.0
-    a_op[0, 1:] = xhat
-    a_op[1, 1:] = -xhat
-    a_op /= math.sqrt(2.0)
-    gg = f.gamma_full @ f.gamma_full.T
-    norm2 = float(np.sum(f.gamma_full ** 2))
-    eps = float(np.trace(a_op @ gg @ a_op.T))
-    return (norm2 - eps) / norm2
-
-
-def fidelity_min_spectral(f: FanoForm) -> float:
-    """1 - min_measurement F(rho, measured rho), reduced to spectral data.
+def min_fidelity(f: FanoForm) -> float:
+    """Fidelity MIN, 1 - min_measurement F(rho, measured rho), reduced to
+    spectral data.
 
     With W = a a^t + C C^t (Pauli convention) the minimum fidelity is
     (1 + |b|^2 + q) / (1 + |a|^2 + |b|^2 + |C|^2) where q = a^t W a / |a|^2
@@ -233,34 +202,6 @@ def fidelity_min_spectral(f: FanoForm) -> float:
     else:
         q = float(np.min(np.linalg.eigvalsh(cct)))
     return 1.0 - (1.0 + float(b @ b) + q) / den
-
-
-def min_fidelity(f: FanoForm) -> float:
-    """Fidelity MIN.  The definition-based spectral form is normative; on the
-    x != 0 branch the printed formula is evaluated as a cross-check."""
-    value = fidelity_min_spectral(f)
-    if float(np.linalg.norm(f.bloch_a)) > X_ZERO_TOL:
-        printed = _min_fidelity_printed(f)
-        if abs(printed - value) > CONVENTION_TOL:
-            raise ConventionMismatch(
-                f"printed fidelity formula gives {printed}, spectral form {value}"
-            )
-    return value
-
-
-def min_hs_thermal(t: ThermalElements) -> float:
-    return 2.0 * (t.kappa ** 2 + t.epsilon ** 2) / t.Z ** 2
-
-
-def min_trace_thermal(t: ThermalElements) -> float:
-    """Printed thermal trace-MIN value (half the oracle-confirmed one)."""
-    return (abs(t.kappa) + abs(t.epsilon)) / t.Z
-
-
-def min_fidelity_thermal(t: ThermalElements) -> float:
-    num = 2.0 * (t.kappa ** 2 + t.epsilon ** 2)
-    den = num + t.mu_minus ** 2 + t.nu_plus ** 2 + t.nu_minus ** 2 + t.mu_plus ** 2
-    return num / den
 
 
 def thermal_measures(J, Jz, gamma, B, lam, beta) -> ThermalMeasures:
@@ -310,15 +251,3 @@ def thermal_measures(J, Jz, gamma, B, lam, beta) -> ThermalMeasures:
             concurrence=conc, min_hs=min_hs_v, min_trace=min_trace_v,
             min_trace_paper=np.abs(k) + np.abs(e), min_fidelity=fidelity,
         )
-
-
-def measure_report(p: ModelParams) -> MeasureReport:
-    """All measures of the thermal state at the given parameters: a batch of one."""
-    m = thermal_measures(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
-    return MeasureReport(
-        concurrence=float(m.concurrence),
-        min_hs=float(m.min_hs),
-        min_trace=float(m.min_trace),
-        min_trace_paper=float(m.min_trace_paper),
-        min_fidelity=float(m.min_fidelity),
-    )

@@ -9,19 +9,19 @@ The measured state follows from the projector algebra alone.  For the projectors
 P+- = (I +- N)/2 with N = n.sigma x I, the identity N^2 = I gives
 P+ m P+ + P- m P- = (m + N m N)/2, and N m N = sum_k q_k T_k with q = n x n
 and the nine sandwiches T_k = S_i m S_j, S_i = sigma_i x I.  So
-m - sigma = (m - sum_k q_k T_k)/2, and under the real inner product
-<A, B> = Re Tr A^+ B, with r2 = <m, m>, u_k = <T_k, m> and the Gram matrix
-G_kl = <T_k, T_l>, the squared Hilbert-Schmidt norm and the traces of the
-Wang fidelity are exact quadratic forms in q for any Hermitian m:
+m - sigma = (m - N m N)/2.  Under the real inner product <A, B> = Re Tr A^+ B,
+with r2 = <m, m> and u_k = <T_k, m>, and since N is unitary
+(||N m N||^2 = r2), the squared Hilbert-Schmidt norm and the traces of the
+Wang fidelity are exact linear forms in q for any Hermitian m:
 
-    ||m - sigma||^2 = (r2 - 2 q.u + q.G.q) / 4
-    Tr m sigma      = (r2 + q.u) / 2
-    Tr sigma^2      = (r2 + 2 q.u + q.G.q) / 4
+    ||m - sigma||^2 = (r2 - q.u) / 2
+    Tr m sigma      = Tr sigma^2 = (r2 + q.u) / 2
 
-The trace norm is the sum of the absolute eigenvalues of m - sigma, which is
-no quadratic form, so that objective builds sigma explicitly from the same
-table and takes its eigenvalues.  The table, u, G and r2 are computed once
-per state and the search grid once per resolution.
+so one minus the Wang fidelity is ||m - sigma||^2 / r2.  The trace norm is
+the sum of the absolute eigenvalues of m - sigma, which is no such form, so
+that objective builds sigma explicitly from the same table and takes its
+eigenvalues.  The table, u and r2 are computed once per state and the search
+grid once per resolution.
 
 The maximization runs over measurements that leave the reduced state of the
 measured qubit unchanged (the defining constraint of these measures).  When
@@ -97,11 +97,10 @@ class _Sandwiches:
 
     @cached_property
     def forms(self):
-        """(u, G, r2) of the quadratic forms: u = table . m, the Gram matrix
-        G = table . table^T and r2 = <m, m>.  Built on first use, since the
-        trace objective needs none of them."""
+        """(u, r2) of the linear forms: u = table . m and r2 = <m, m>.  Built
+        on first use, since the trace objective needs neither."""
         mr = np.ascontiguousarray(self.m, dtype=complex).reshape(16).view(float)
-        return self.table @ mr, self.table @ self.table.T, float(mr @ mr)
+        return self.table @ mr, float(mr @ mr)
 
 
 def _axis_products(axes):
@@ -134,19 +133,16 @@ def fidelity_wang(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _objective(sw, q, kind):
     """Disturbance of sw.m by the measurement along each axis n, given
     q = n (x) n of shape (..., 9); returns an array of shape (...).  hs_sq and
-    one_minus_fidelity are the quadratic forms of the module docstring; trace
+    one_minus_fidelity are the linear forms of the module docstring; trace
     takes the eigenvalues of the explicit m - sigma."""
     if kind == "trace":
         return np.sum(np.abs(np.linalg.eigvalsh(sw.m - _measure(sw, q))), axis=-1)
-    u, gram, r2 = sw.forms
-    qu = np.einsum("...k,k->...", q, u)
-    qgq = np.einsum("...l,...l->...", np.einsum("...k,kl->...l", q, gram), q)
+    u, r2 = sw.forms
+    hs_sq = (r2 - np.einsum("...k,k->...", q, u)) / 2.0
     if kind == "hs_sq":
-        return (r2 - 2.0 * qu + qgq) / 4.0
+        return hs_sq
     if kind == "one_minus_fidelity":
-        tr_ms = (r2 + qu) / 2.0
-        tr_ss = (r2 + 2.0 * qu + qgq) / 4.0
-        return 1.0 - tr_ms ** 2 / (r2 * tr_ss)
+        return hs_sq / r2
     raise ValueError(f"unknown objective kind {kind!r}")
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xyzmin.measures import thermal_measures
 from xyzmin.model import DensityMatrix, ModelParams
 
 
@@ -16,6 +17,17 @@ def maximally_mixed():
 def random_params(rng, low=-5.0, high=5.0):
     j, jz, g, b, lam = rng.uniform(low, high, size=5)
     return ModelParams(J=j, Jz=jz, gamma=g, B=b, lam=lam)
+
+
+def kernel(p):
+    """The thermal kernel at one parameter point (a batch of one)."""
+    return thermal_measures(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
+
+
+def printed_hs(t):
+    """The printed thermal HS-MIN formula 2 (kappa^2 + epsilon^2) / Z^2, which
+    holds only off the zero-local-Bloch regime."""
+    return 2.0 * (t.kappa ** 2 + t.epsilon ** 2) / t.Z ** 2
 
 
 def random_unitary(rng, dim=2):

@@ -7,20 +7,22 @@ import math
 
 import numpy as np
 
-from conftest import bell_phi_plus, random_params, random_unitary, random_x_state
+from conftest import (
+    bell_phi_plus,
+    kernel,
+    printed_hs,
+    random_params,
+    random_unitary,
+    random_x_state,
+)
 from xyzmin.cli import main
 from xyzmin.decomp import fano_decompose
 from xyzmin.linalg import kron
 from xyzmin.measures import (
-    concurrence_thermal,
     critical_window,
-    fidelity_min_spectral,
-    measure_report,
-    min_fidelity_thermal,
+    min_fidelity,
     min_hs,
-    min_hs_thermal,
     min_trace,
-    min_trace_thermal,
 )
 from xyzmin.model import (
     DensityMatrix,
@@ -117,11 +119,10 @@ def test_05_hs_min_formula_vs_oracle():
         if np.linalg.norm(f.bloch_a) <= 1e-9:
             continue
         n += 1
-        dev_thermal = max(dev_thermal,
-                          abs(min_hs_thermal(thermal_elements(p)) - min_hs(f)))
+        dev_thermal = max(dev_thermal, abs(kernel(p).min_hs - min_hs(f)))
     p0 = ModelParams(J=1.0, Jz=-3.0, gamma=1.0)
     rho0 = thermal_state(p0)
-    gap = abs(min_hs_thermal(thermal_elements(p0))
+    gap = abs(printed_hs(thermal_elements(p0))
               - max_over_measurements(rho0, "hs_sq", grid=SMALL_GRID).value)
     ok = dev_general <= 1e-6 and dev_thermal <= 1e-12 and gap > 1e-3
     report(5, "HS-MIN closed form vs measurement oracle", ok,
@@ -136,14 +137,13 @@ def test_06_fidelity_min_triple_agreement():
         p = random_params(rng)
         rho = thermal_state(p)
         f = fano_decompose(rho)
-        spectral = fidelity_min_spectral(f)
+        spectral = min_fidelity(f)
         dev_oracle = max(dev_oracle, abs(
             max_over_measurements(rho, "one_minus_fidelity", grid=SMALL_GRID).value
             - spectral))
         if np.linalg.norm(f.bloch_a) > 1e-9:
-            dev_closed = max(dev_closed, abs(
-                min_fidelity_thermal(thermal_elements(p)) - spectral))
-    bell_dev = abs(fidelity_min_spectral(fano_decompose(bell_phi_plus())) - 0.5)
+            dev_closed = max(dev_closed, abs(kernel(p).min_fidelity - spectral))
+    bell_dev = abs(min_fidelity(fano_decompose(bell_phi_plus())) - 0.5)
     ok = dev_oracle <= 1e-9 and dev_closed <= 1e-9 and bell_dev <= 1e-12
     report(6, "F-MIN spectral vs oracle vs thermal closed form", ok,
            f"oracle {dev_oracle:.2e} closed {dev_closed:.2e} bell {bell_dev:.2e}")
@@ -161,8 +161,7 @@ def test_07_trace_min_formula_and_ratio():
         p = random_params(rng)
         if abs(p.B) < 0.05:
             continue
-        t = thermal_elements(p)
-        printed = min_trace_thermal(t)
+        printed = kernel(p).min_trace_paper
         if printed < 1e-8:
             continue
         oracle = max_over_measurements(thermal_state(p), "trace").value
@@ -175,7 +174,7 @@ def test_07_trace_min_formula_and_ratio():
 
 def test_08_correlation_without_entanglement():
     p = ModelParams(J=0.4, Jz=0.4)
-    conc = concurrence_thermal(thermal_elements(p))
+    conc = kernel(p).concurrence
     hs = min_hs(fano_decompose(thermal_state(p)))
     ok = conc == 0.0 and hs >= 0.01
     report(8, "zero concurrence with nonzero HS-MIN at J=Jz=0.4", ok,
@@ -184,8 +183,7 @@ def test_08_correlation_without_entanglement():
 
 def test_09_field_monotonicity():
     grid = np.arange(0.0, 5.0 + 1e-12, 0.05)
-    reports = [measure_report(ModelParams(J=2.0, Jz=-1.0, gamma=0.5, B=float(b)))
-               for b in grid]
+    reports = [kernel(ModelParams(J=2.0, Jz=-1.0, gamma=0.5, B=float(b))) for b in grid]
     ok = True
     for name in ("min_hs", "min_trace", "min_fidelity"):
         diffs = np.diff([getattr(r, name) for r in reports])
@@ -203,12 +201,12 @@ def test_10_symmetry_suite():
     dev = 0.0
     for _ in range(100):
         p = random_params(rng)
-        base = measure_report(p)
+        base = kernel(p)
         for flipped in (
             ModelParams(J=p.J, Jz=p.Jz, gamma=-p.gamma, B=p.B, lam=p.lam),
             ModelParams(J=p.J, Jz=p.Jz, gamma=p.gamma, B=-p.B, lam=p.lam),
         ):
-            other = measure_report(flipped)
+            other = kernel(flipped)
             for name in ("concurrence", "min_hs", "min_trace", "min_trace_paper",
                          "min_fidelity"):
                 dev = max(dev, abs(getattr(base, name) - getattr(other, name)))
@@ -217,7 +215,7 @@ def test_10_symmetry_suite():
 
 def test_11_maximal_correlation_at_maximal_entanglement():
     p = ModelParams(J=3.0, Jz=3.0)
-    conc = concurrence_thermal(thermal_elements(p))
+    conc = kernel(p).concurrence
     hs = min_hs(fano_decompose(thermal_state(p)))
     ok = conc >= 0.9 and hs >= 0.45
     report(11, "antiferromagnetic XXX near maximal values", ok,

@@ -41,10 +41,25 @@ def test_point_field_matches_thermal_closed_form(capsys):
     rc, out = run(capsys, "point", "--J", "1", "--Jz", "0", "--B", "1")
     assert rc == 0
     vals = parse_point(out)
-    from xyzmin.measures import min_hs_thermal
-    from xyzmin.model import ModelParams, thermal_elements
-    expected = min_hs_thermal(thermal_elements(ModelParams(J=1.0, B=1.0)))
+    from xyzmin.decomp import fano_decompose
+    from xyzmin.measures import min_hs
+    from xyzmin.model import ModelParams, thermal_state
+    expected = min_hs(fano_decompose(thermal_state(ModelParams(J=1.0, B=1.0))))
     assert float(vals["min_hs"]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_repeated_calls_share_no_state(capsys):
+    rc, out = run(capsys, "point", "--J", "1", "--B", "2")
+    vals = parse_point(out)
+    assert rc == 0 and (vals["J"], vals["B"]) == ("1", "2")
+    rc, out = run(capsys, "point")
+    vals = parse_point(out)
+    assert rc == 0 and (vals["J"], vals["B"], vals["beta"]) == ("0", "0", "1")
+    rc, out = run(capsys, "critical", "--J", "5")
+    assert rc == 0 and out == "jc1: unbounded\njc2: -4.30680741848\n"
+    rc, out = run(capsys, "point", "--beta", "2")
+    vals = parse_point(out)
+    assert rc == 0 and (vals["J"], vals["B"], vals["beta"]) == ("0", "0", "2")
 
 
 def test_sweep_endpoints_match_point(tmp_path, capsys):

@@ -9,11 +9,9 @@ from xyzmin.decomp import X_ZERO_TOL, fano_decompose
 from xyzmin.errors import StateInvalid
 from xyzmin.measures import (
     concurrence,
-    measure_report,
     min_fidelity,
     min_hs,
     min_trace,
-    min_trace_thermal,
     thermal_measures,
 )
 from xyzmin.model import (
@@ -57,14 +55,16 @@ def batch(points):
 
 
 def general_path(p):
-    """Every kernel output from the 4x4 state and the general measures."""
+    """Every kernel output from the 4x4 state and the general measures; the
+    printed trace-MIN value (|kappa| + |epsilon|) / Z from the elements."""
     rho = thermal_state(p)
     f = fano_decompose(rho)
+    t = thermal_elements(p)
     return {
         "a_z": f.bloch_a[2], "b_z": f.bloch_b[2], "c_xx": f.pauli_corr[0, 0],
         "c_yy": f.pauli_corr[1, 1], "c_zz": f.pauli_corr[2, 2],
         "concurrence": concurrence(rho), "min_hs": min_hs(f), "min_trace": min_trace(f),
-        "min_trace_paper": min_trace_thermal(thermal_elements(p)),
+        "min_trace_paper": (abs(t.kappa) + abs(t.epsilon)) / t.Z,
         "min_fidelity": min_fidelity(f),
     }, f
 
@@ -112,8 +112,6 @@ def test_batch_values_equal_batch_of_one_bitwise(rng):
         for name in ELEMENTS:
             assert (getattr(m.elements, name)[i].tobytes()
                     == getattr(one.elements, name).tobytes())
-        rep = measure_report(p)
-        assert rep.min_fidelity == m.min_fidelity[i] and rep.concurrence == m.concurrence[i]
         assert thermal_elements(p).Z == m.elements.Z[i]
 
 

@@ -4,21 +4,23 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import bell_phi_plus, maximally_mixed, random_params, random_unitary
+from conftest import (
+    bell_phi_plus,
+    kernel,
+    maximally_mixed,
+    printed_hs,
+    random_params,
+    random_unitary,
+)
 from xyzmin.decomp import fano_decompose
 from xyzmin.errors import DomainError, NotDiagonalCorrelation
-from xyzmin.linalg import kron
+from xyzmin.linalg import PAULI_BASIS, kron
 from xyzmin.measures import (
     concurrence,
-    concurrence_thermal,
     critical_window,
-    measure_report,
     min_fidelity,
-    min_fidelity_thermal,
     min_hs,
-    min_hs_thermal,
     min_trace,
-    min_trace_thermal,
 )
 from xyzmin.model import DensityMatrix, ModelParams, thermal_elements, thermal_state
 from xyzmin.oracle import max_over_measurements
@@ -31,6 +33,37 @@ def thermal_fano(p):
     return fano_decompose(thermal_state(p))
 
 
+def diagonal_corr_states(rng, n):
+    """Positive states built from Pauli coefficients: a local Bloch vector a
+    off every axis (each component at least a tenth of |a|), a random b and a
+    diagonal correlation matrix.  Off an axis, min_trace takes its quartic
+    branch."""
+    states = []
+    while len(states) < n:
+        a = 0.3 * rng.normal(size=3)
+        if np.min(np.abs(a)) < 0.1 * np.linalg.norm(a):
+            continue
+        r = np.zeros((4, 4))
+        r[0, 0] = 1.0
+        r[1:, 0] = a
+        r[0, 1:] = 0.3 * rng.normal(size=3)
+        r[1:, 1:] = np.diag(rng.uniform(-1.0, 1.0, size=3))
+        m = np.einsum("ij,ijab->ab", r, PAULI_BASIS) / 4.0
+        if np.min(np.linalg.eigvalsh(m)) >= 0.0:
+            states.append(DensityMatrix(m))
+    return states
+
+
+def printed_fidelity(f):
+    """The printed fidelity-MIN formula, full-Gamma convention, for a != 0:
+    (|Gamma|^2 - |A Gamma|^2) / |Gamma|^2 with the two rows of A equal to
+    (1, +-a_hat) / sqrt(2)."""
+    ahat = f.bloch_a / np.linalg.norm(f.bloch_a)
+    a_op = np.array([np.r_[1.0, ahat], np.r_[1.0, -ahat]]) / math.sqrt(2.0)
+    norm2 = np.sum(f.gamma_full ** 2)
+    return (norm2 - np.sum((a_op @ f.gamma_full) ** 2)) / norm2
+
+
 class TestConcurrence:
     def test_bell(self):
         assert concurrence(bell_phi_plus()) == pytest.approx(1.0, abs=1e-12)
@@ -41,23 +74,20 @@ class TestConcurrence:
     def test_thermal_xxx(self):
         p = ModelParams(J=1.0, Jz=1.0)
         assert concurrence(thermal_state(p)) == pytest.approx(CONC_XXX_J1, abs=1e-12)
-        assert concurrence_thermal(thermal_elements(p)) == pytest.approx(
-            CONC_XXX_J1, abs=1e-12)
+        assert kernel(p).concurrence == pytest.approx(CONC_XXX_J1, abs=1e-12)
 
     def test_diagonal_state_zero(self):
-        t = thermal_elements(ModelParams(Jz=1.3))
-        assert concurrence_thermal(t) == 0.0
+        assert kernel(ModelParams(Jz=1.3)).concurrence == 0.0
 
     def test_xxx_boundary(self):
         jc = math.log(3) / 2
-        t = thermal_elements(ModelParams(J=jc, Jz=jc))
-        assert concurrence_thermal(t) == pytest.approx(0.0, abs=1e-12)
+        assert kernel(ModelParams(J=jc, Jz=jc)).concurrence == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_closed_form_matches_general(self, rng):
         for _ in range(100):
             p = random_params(rng)
-            dev = abs(concurrence_thermal(thermal_elements(p))
-                      - concurrence(thermal_state(p)))
+            dev = abs(kernel(p).concurrence - concurrence(thermal_state(p)))
             assert dev < 1e-12
 
 
@@ -140,16 +170,14 @@ class TestCriticalWindow:
             for jz in np.linspace(w.jc2 - 1.0, w.jc2 + 1.0, 41):
                 if abs(jz - w.jc2) < 1e-6:
                     continue
-                c = concurrence_thermal(thermal_elements(
-                    ModelParams(J=j, Jz=float(jz), gamma=g, B=b)))
+                c = kernel(ModelParams(J=j, Jz=float(jz), gamma=g, B=b)).concurrence
                 inside = (w.jc1 <= jz <= w.jc2)
                 assert (c == 0.0) == inside
             if not w.jc1_unbounded:
                 for jz in np.linspace(w.jc1 - 1.0, w.jc1 + 1.0, 41):
                     if abs(jz - w.jc1) < 1e-6 or jz > w.jc2 - 1e-6:
                         continue
-                    c = concurrence_thermal(thermal_elements(
-                        ModelParams(J=j, Jz=float(jz), gamma=g, B=b)))
+                    c = kernel(ModelParams(J=j, Jz=float(jz), gamma=g, B=b)).concurrence
                     assert (c == 0.0) == (jz >= w.jc1)
 
 
@@ -163,8 +191,7 @@ class TestMinHS:
 
     def test_thermal_with_field_matches_closed_form(self):
         p = ModelParams(J=1.0, B=1.0)
-        assert min_hs(thermal_fano(p)) == pytest.approx(
-            min_hs_thermal(thermal_elements(p)), abs=1e-13)
+        assert min_hs(thermal_fano(p)) == pytest.approx(kernel(p).min_hs, abs=1e-13)
 
     def test_closed_form_agreement_with_field(self, rng):
         for _ in range(200):
@@ -172,7 +199,7 @@ class TestMinHS:
             f = thermal_fano(p)
             if np.linalg.norm(f.bloch_a) <= 1e-9:
                 continue
-            assert abs(min_hs(f) - min_hs_thermal(thermal_elements(p))) < 1e-12
+            assert abs(min_hs(f) - kernel(p).min_hs) < 1e-12
 
     def test_zero_bloch_counterexample(self):
         # without a local Bloch vector the printed thermal formula can differ
@@ -181,7 +208,7 @@ class TestMinHS:
         rho = thermal_state(p)
         f = fano_decompose(rho)
         formula = min_hs(f)
-        printed = min_hs_thermal(thermal_elements(p))
+        printed = printed_hs(thermal_elements(p))
         oracle = max_over_measurements(rho, "hs_sq").value
         assert abs(formula - oracle) < 1e-8
         assert abs(printed - oracle) > 1e-3
@@ -203,6 +230,13 @@ class TestMinTrace:
         assert min_trace(thermal_fano(p)) == pytest.approx(expected, abs=1e-12)
         oracle = max_over_measurements(thermal_state(p), "trace").value
         assert min_trace(thermal_fano(p)) == pytest.approx(oracle, abs=1e-9)
+
+    def test_quartic_branch_matches_pinned_oracle(self, rng):
+        for rho in diagonal_corr_states(rng, 300):
+            f = fano_decompose(rho)
+            res = max_over_measurements(rho, "trace")
+            assert not res.refined
+            assert abs(min_trace(f) - res.value) <= 1e-12
 
     def test_rejects_nondiagonal_correlations(self, rng):
         rho = thermal_state(ModelParams(J=1.0, B=0.5))
@@ -226,28 +260,34 @@ class TestMinFidelity:
             f = thermal_fano(p)
             if np.linalg.norm(f.bloch_a) <= 1e-9:
                 continue
-            assert abs(min_fidelity(f)
-                       - min_fidelity_thermal(thermal_elements(p))) < 1e-9
+            assert abs(min_fidelity(f) - kernel(p).min_fidelity) < 1e-9
+
+
+    def test_printed_formula_on_general_states(self, rng):
+        for rho in diagonal_corr_states(rng, 300):
+            f = fano_decompose(rho)
+            assert abs(printed_fidelity(f) - min_fidelity(f)) <= 1e-12
 
 
 class TestThermalForms:
     def test_all_zero_without_coupling(self):
-        t = thermal_elements(ModelParams(Jz=2.0, B=1.0))
-        assert min_hs_thermal(t) == 0.0
-        assert min_trace_thermal(t) == 0.0
-        assert min_fidelity_thermal(t) == 0.0
+        m = kernel(ModelParams(Jz=2.0, B=1.0))
+        assert m.min_hs == 0.0
+        assert m.min_trace_paper == 0.0
+        assert m.min_fidelity == 0.0
 
     def test_xxx_value(self):
-        t = thermal_elements(ModelParams(J=1.0, Jz=1.0))
+        p = ModelParams(J=1.0, Jz=1.0)
+        t = thermal_elements(p)
         expected = 2 * t.epsilon ** 2 / t.Z ** 2
-        assert min_hs_thermal(t) == pytest.approx(expected, abs=1e-15)
+        assert kernel(p).min_hs == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.1891, abs=1e-3)
         oracle = max_over_measurements(thermal_state(ModelParams(J=1.0, Jz=1.0)),
                                        "hs_sq", grid=(61, 121)).value
         assert expected == pytest.approx(oracle, abs=1e-9)
 
     def test_field_decay(self):
-        vals = [min_hs_thermal(thermal_elements(ModelParams(J=1.0, Jz=0.5, B=b)))
+        vals = [kernel(ModelParams(J=1.0, Jz=0.5, B=b)).min_hs
                 for b in (0.0, 2.0, 5.0, 10.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-3
@@ -257,12 +297,12 @@ class TestSymmetryAndRange:
     def test_even_in_gamma_and_field(self, rng):
         for _ in range(100):
             p = random_params(rng)
-            base = measure_report(p)
+            base = kernel(p)
             for flipped in (
                 ModelParams(J=p.J, Jz=p.Jz, gamma=-p.gamma, B=p.B, lam=p.lam),
                 ModelParams(J=p.J, Jz=p.Jz, gamma=p.gamma, B=-p.B, lam=p.lam),
             ):
-                other = measure_report(flipped)
+                other = kernel(flipped)
                 assert abs(base.concurrence - other.concurrence) < 1e-12
                 assert abs(base.min_hs - other.min_hs) < 1e-12
                 assert abs(base.min_trace - other.min_trace) < 1e-12
@@ -270,7 +310,7 @@ class TestSymmetryAndRange:
 
     def test_min_ranges_on_thermal_family(self, rng):
         for _ in range(100):
-            rep = measure_report(random_params(rng))
+            rep = kernel(random_params(rng))
             assert 0.0 <= rep.min_hs <= 0.5 + 1e-12
             assert 0.0 <= rep.min_fidelity <= 0.5 + 1e-12
             assert 0.0 <= rep.concurrence <= 1.0 + 1e-12

@@ -5,13 +5,14 @@ import pytest
 
 from conftest import (
     bell_phi_plus,
+    kernel,
     maximally_mixed,
     random_params,
     random_state,
     random_x_state,
 )
 from xyzmin.decomp import fano_decompose
-from xyzmin.measures import fidelity_min_spectral, min_hs, min_trace
+from xyzmin.measures import min_fidelity, min_hs, min_trace
 from xyzmin.model import DensityMatrix, ModelParams, thermal_state
 from xyzmin.oracle import (
     DEFAULT_GRID,
@@ -196,10 +197,8 @@ class TestMaxOverMeasurements:
     def test_thermal_hs_matches_closed_form(self):
         p = ModelParams(J=2.0, Jz=-1.0, gamma=0.5, B=1.0)
         rho = thermal_state(p)
-        from xyzmin.measures import min_hs_thermal
-        from xyzmin.model import thermal_elements
         assert max_over_measurements(rho, "hs_sq").value == pytest.approx(
-            min_hs_thermal(thermal_elements(p)), abs=1e-10)
+            kernel(p).min_hs, abs=1e-10)
 
     def test_grid_value_dominates_random_axes_when_unconstrained(self, rng):
         rho = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8))
@@ -252,6 +251,20 @@ class TestMaxOverMeasurements:
             assert res.refined
             assert abs(res.value - value) <= 1e-14
 
+    # a known miss of the grid oracle: two Pauli correlation magnitudes nearly
+    # tie, and Nelder-Mead from the grid argmax stalls on a saddle short of the
+    # maximum (misses of about 3.4e-6 in hs_sq and 6.8e-6 in one_minus_fidelity);
+    # an exact maximum for these two kinds turns these into XPASS
+    TIE_MISS = dict(J=-3.7552, Jz=-0.2929, gamma=0.9462, beta=1.1489)
+
+    @pytest.mark.xfail(strict=True, reason="grid oracle stalls on a saddle near a tie")
+    @pytest.mark.parametrize("kind,closed_form", [("hs_sq", min_hs),
+                                                  ("one_minus_fidelity", min_fidelity)])
+    def test_tie_miss_state(self, kind, closed_form):
+        rho = thermal_state(ModelParams(**self.TIE_MISS))
+        res = max_over_measurements(rho, kind)
+        assert abs(res.value - closed_form(fano_decompose(rho))) <= 1e-9
+
     def test_hs_oracle_matches_branch_formula_at_zero_bloch(self, rng):
         for _ in range(5):
             rho = random_x_state(rng, zero_bloch_a=True)
@@ -268,25 +281,25 @@ class TestMaxOverMeasurements:
 
 class TestFidelitySpectral:
     def test_bell(self):
-        assert fidelity_min_spectral(fano_decompose(bell_phi_plus())) == \
+        assert min_fidelity(fano_decompose(bell_phi_plus())) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert fidelity_min_spectral(fano_decompose(maximally_mixed())) == 0.0
+        assert min_fidelity(fano_decompose(maximally_mixed())) == 0.0
 
     def test_matches_measurement_oracle(self, rng):
         for _ in range(100):
             rho = thermal_state(random_params(rng))
             f = fano_decompose(rho)
             res = max_over_measurements(rho, "one_minus_fidelity", grid=SMALL_GRID)
-            assert abs(res.value - fidelity_min_spectral(f)) < 1e-9
+            assert abs(res.value - min_fidelity(f)) < 1e-9
 
     def test_matches_grid_oracle_at_zero_bloch(self, rng):
         for _ in range(5):
             rho = random_x_state(rng, zero_bloch_a=True)
             f = fano_decompose(rho)
             res = max_over_measurements(rho, "one_minus_fidelity", grid=SMALL_GRID)
-            assert abs(res.value - fidelity_min_spectral(f)) < 1e-8
+            assert abs(res.value - min_fidelity(f)) < 1e-8
 
 
 class TestThermalExp:
