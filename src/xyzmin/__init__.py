@@ -6,6 +6,7 @@ from .errors import (
     ConventionMismatch,
     DomainError,
     NotDiagonalCorrelation,
+    OracleInconsistent,
     StateInvalid,
 )
 from .measures import (

@@ -15,3 +15,7 @@ class ConventionMismatch(RuntimeError):
 
 class DomainError(ValueError):
     """Raised when a closed formula is evaluated at a degenerate parameter point."""
+
+
+class OracleInconsistent(RuntimeError):
+    """Raised when the oracle's grid search of a definition exceeds the exact maximum it checks."""

@@ -17,17 +17,29 @@ Wang fidelity are exact linear forms in q for any Hermitian m:
     ||m - sigma||^2 = (r2 - q.u) / 2
     Tr m sigma      = Tr sigma^2 = (r2 + q.u) / 2
 
-so one minus the Wang fidelity is ||m - sigma||^2 / r2.  The trace norm is
-the sum of the absolute eigenvalues of m - sigma, which is no such form, so
-that objective builds sigma explicitly from the same table and takes its
-eigenvalues.  The table, u and r2 are computed once per state and the search
-grid once per resolution.
+so one minus the Wang fidelity is ||m - sigma||^2 / r2.  With U = u as a 3x3
+matrix, q.u = n^T sym(U) n is a Rayleigh quotient, so over all unit axes the
+squared norm is at most (r2 - lambda_min(sym U)) / 2, attained at the matching
+eigenvector: the exact maximum of both objectives.
+
+The trace norm is no such form.  But m - sigma = P+ m P- + P- m P+ is
+off-diagonal in the eigenbasis |+-n> of n.sigma, so its singular values are
+those of the 2x2 block K = (<+n| x I) m (|-n> x I), each twice, and
+
+    ||m - sigma||_1 = 2 ||K||_1 = 2 sqrt(||K||^2 + 2 |det K|)
+
+with ||K||^2 = ||m - sigma||^2 / 2, taken from K itself so that it stays exact
+where m - sigma is nearly zero.  The table, u, r2 and the regrouped m that K
+is read from are computed once per state and the search grid once per
+resolution.
 
 The maximization runs over measurements that leave the reduced state of the
 measured qubit unchanged (the defining constraint of these measures).  When
 the local Bloch vector is nonzero this pins the measurement axis to it; when
-it vanishes every axis is admissible and a grid search with derivative-free
-refinement is used.
+it vanishes every axis is admissible.  The definition is then evaluated on a
+grid over the hemisphere of axes: for hs_sq and one_minus_fidelity the grid
+maximum cross-checks the exact Rayleigh maximum, which is returned; for trace
+a derivative-free refinement starts from the grid argmax.
 """
 
 import math
@@ -38,6 +50,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .decomp import X_ZERO_TOL, fano_decompose
+from .errors import OracleInconsistent
 from .linalg import PAULI_BASIS
 from .model import DensityMatrix, ModelParams, build_hamiltonian
 
@@ -71,6 +84,17 @@ class MeasurementAxis:
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
+    """A maximum over admissible measurements and an axis attaining it.
+
+    refined is False when the local Bloch vector pins the axis; the value is
+    then the objective at that axis and grid_resolution is (1, 1).  refined is
+    True when every axis was admissible and the hemisphere of axes was
+    searched on a grid of grid_resolution (polar, azimuthal) points.  For
+    hs_sq and one_minus_fidelity the value is then the exact Rayleigh maximum,
+    checked against the grid, at the eigenvector axis on the searched
+    hemisphere; for trace it is the best of the grid and a Nelder-Mead
+    refinement from the grid argmax."""
+
     value: float
     argmax_axis: MeasurementAxis
     grid_resolution: tuple
@@ -84,28 +108,60 @@ _S_COLS = np.ascontiguousarray(PAULI_BASIS[1:, 0].transpose(1, 0, 2).reshape(4, 
 
 
 class _Sandwiches:
-    """What the oracle needs of a 4x4 state m, computed once per state.
+    """What the oracle needs of a 4x4 state m, computed once per state and
+    each part on first use.
 
     table holds the nine sandwiches T_k = S_i m S_j (k = 3i + j) as real
     rows, real and imaginary parts interleaved, so that <A, B> = Re Tr A^+ B
-    is a dot product of rows."""
+    is a dot product of rows.  blocks is m regrouped by the indices of qubit
+    a, blocks[2a + b, 2j + l] = m[2a + j, 2b + l], so that the block
+    (<e| x I) m (|f> x I) is c . blocks with c_{2a+b} = conj(e_a) f_b."""
 
     def __init__(self, m):
         self.m = m
-        blocks = (_S_ROWS @ m @ _S_COLS).reshape(3, 4, 3, 4).transpose(0, 2, 1, 3)
-        self.table = blocks.reshape(9, 16).view(float)
+
+    @cached_property
+    def table(self):
+        blocks = (_S_ROWS @ self.m @ _S_COLS).reshape(3, 4, 3, 4).transpose(0, 2, 1, 3)
+        return blocks.reshape(9, 16).view(float)
 
     @cached_property
     def forms(self):
-        """(u, r2) of the linear forms: u = table . m and r2 = <m, m>.  Built
-        on first use, since the trace objective needs neither."""
+        """(u, r2) of the linear forms: u = table . m and r2 = <m, m>."""
         mr = np.ascontiguousarray(self.m, dtype=complex).reshape(16).view(float)
         return self.table @ mr, float(mr @ mr)
+
+    @cached_property
+    def blocks(self):
+        return self.m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def _axis_products(axes):
     """q = n (x) n, shape (..., 9), for unit axes n of shape (..., 3)."""
     return (axes[..., :, None] * axes[..., None, :]).reshape(*axes.shape[:-1], 9)
+
+
+def _spinor_products(axes):
+    """c, shape (..., 4), with c_{2a+b} = conj(e+_a) e-_b for eigenvectors
+    e+- of n.sigma, for unit axes n of shape (..., 3).  For n_z >= 0 take
+    e+ = (1 + z, x + iy) and e- = (x - iy, -(1 + z)), each over
+    sqrt(2 (1 + z)).  For n_z < 0 take them for the antipode -n, the same
+    measurement, whose e+- are the e-+ of n: K becomes K^+, which has the
+    same singular values, and so does -K.  With w = (x - iy) / 2 and
+    s = sign(z) (1 + |z|) / 2, c in both cases (times -1 in the second) is
+
+        c = (w, -s, w^2 / s, -w)."""
+    w = (axes[..., 0] - 1j * axes[..., 1]) / 2.0
+    s = np.copysign(1.0 + np.abs(axes[..., 2]), axes[..., 2]) / 2.0
+    c = np.empty(w.shape + (4,), dtype=complex)
+    c[..., 0], c[..., 1], c[..., 2], c[..., 3] = w, -s, w * w / s, -w
+    return c
+
+
+def _terms(axes, kind):
+    """What the objective of kind reads of unit axes n of shape (..., 3): c
+    for trace, q for the linear kinds."""
+    return _spinor_products(axes) if kind == "trace" else _axis_products(axes)
 
 
 def _measure(sw, q):
@@ -130,15 +186,19 @@ def fidelity_wang(rho: DensityMatrix, sigma: DensityMatrix) -> float:
                  / (np.einsum("ab,ba->", r, r).real * np.einsum("ab,ba->", s, s).real))
 
 
-def _objective(sw, q, kind):
-    """Disturbance of sw.m by the measurement along each axis n, given
-    q = n (x) n of shape (..., 9); returns an array of shape (...).  hs_sq and
-    one_minus_fidelity are the linear forms of the module docstring; trace
-    takes the eigenvalues of the explicit m - sigma."""
+def _objective(sw, terms, kind):
+    """Disturbance of sw.m by the measurement along each axis, given the
+    axes' _terms of shape (..., 9) or (..., 4); returns an array of shape
+    (...).  hs_sq and one_minus_fidelity are the linear forms and trace the
+    2x2-block form of the module docstring."""
     if kind == "trace":
-        return np.sum(np.abs(np.linalg.eigvalsh(sw.m - _measure(sw, q))), axis=-1)
+        k = terms @ sw.blocks
+        kr = k.view(float)
+        norm_sq = np.einsum("...a,...a->...", kr, kr)
+        det = k[..., 0] * k[..., 3] - k[..., 1] * k[..., 2]
+        return 2.0 * np.sqrt(norm_sq + 2.0 * np.abs(det))
     u, r2 = sw.forms
-    hs_sq = (r2 - np.einsum("...k,k->...", q, u)) / 2.0
+    hs_sq = (r2 - np.einsum("...k,k->...", terms, u)) / 2.0
     if kind == "hs_sq":
         return hs_sq
     if kind == "one_minus_fidelity":
@@ -149,17 +209,36 @@ def _objective(sw, q, kind):
 @lru_cache(maxsize=4)
 def _grid(grid):
     """The axes searched at a grid resolution, as read-only arrays of polar
-    angles and of q = n (x) n.  Antipodal axes define the same measurement,
-    so a hemisphere suffices, with the pole (z-axis) and the equator sampled
-    exactly."""
+    angles and of both _terms, q and c.  Antipodal axes define the same
+    measurement, so a hemisphere suffices, with the pole (z-axis) and the
+    equator sampled exactly."""
     thetas = np.linspace(0.0, math.pi / 2, grid[0] // 2 + 1)
     phis = np.linspace(0.0, 2 * math.pi, grid[1], endpoint=False)
     tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    q = _axis_products(np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp),
-                                 np.cos(tt)], axis=1))
-    for a in (tt, pp, q):
+    n = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1)
+    arrays = (tt, pp, _axis_products(n), _spinor_products(n))
+    for a in arrays:
         a.flags.writeable = False
-    return tt, pp, q
+    return arrays
+
+
+def _rayleigh_max(sw, kind, grid_max):
+    """Exact maximum of the linear objective kind over all unit axes, and
+    its axis: the smallest eigenpair of sym(U).  Raises OracleInconsistent if
+    grid_max, the objective's maximum over the search grid, exceeds it by
+    more than rounding."""
+    u, r2 = sw.forms
+    U = u.reshape(3, 3)
+    lam, vecs = np.linalg.eigh((U + U.T) / 2.0)
+    hs_sq = float(r2 - lam[0]) / 2.0
+    value = hs_sq if kind == "hs_sq" else hs_sq / r2
+    if grid_max > value + 1e-15 * max(1.0, r2):
+        raise OracleInconsistent(
+            f"{kind}: grid maximum {grid_max!r} exceeds the Rayleigh maximum {value!r}")
+    # the antipode defines the same measurement: take the one on the searched
+    # hemisphere, the last nonzero component positive
+    n = vecs[:, 0]
+    return value, MeasurementAxis.from_vector(n if n[np.flatnonzero(n)[-1]] > 0 else -n)
 
 
 def max_over_measurements(rho: DensityMatrix, kind: str,
@@ -175,20 +254,24 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
         # only the axis parallel to the local Bloch vector leaves the reduced
         # state invariant: no optimization freedom
         axis = MeasurementAxis.from_vector(a)
-        return OracleResult(value=float(_objective(sw, _axis_products(axis.n), kind)),
+        return OracleResult(value=float(_objective(sw, _terms(axis.n, kind), kind)),
                             argmax_axis=axis, grid_resolution=(1, 1), refined=False)
 
-    n_theta, n_phi = grid[0] // 2 + 1, grid[1]
-    tt, pp, q = _grid(tuple(grid))
-    vals = _objective(sw, q, kind)
+    resolution = (grid[0] // 2 + 1, grid[1])
+    tt, pp, q, c = _grid(tuple(grid))
+    vals = _objective(sw, c if kind == "trace" else q, kind)
     k = int(np.argmax(vals))
+    if kind != "trace":
+        value, axis = _rayleigh_max(sw, kind, float(vals[k]))
+        return OracleResult(value=value, argmax_axis=axis, grid_resolution=resolution,
+                            refined=True)
     best_val, best_tp = float(vals[k]), (float(tt[k]), float(pp[k]))
 
     def neg(tp):
         th, ph = tp
         n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
                       math.cos(th)])
-        return -float(_objective(sw, _axis_products(n), kind))
+        return -float(_objective(sw, _spinor_products(n), kind))
 
     res = minimize(neg, np.array(best_tp), method="Nelder-Mead",
                    options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": 600})
@@ -196,7 +279,7 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
         best_val, best_tp = -res.fun, tuple(res.x)
     axis = MeasurementAxis(theta=float(best_tp[0]), phi=float(best_tp[1]) % (2 * math.pi))
     return OracleResult(value=float(best_val), argmax_axis=axis,
-                        grid_resolution=(n_theta, n_phi), refined=True)
+                        grid_resolution=resolution, refined=True)
 
 
 def thermal_state_exp(p: ModelParams) -> DensityMatrix:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bell_phi_plus,
@@ -12,6 +14,7 @@ from conftest import (
     random_x_state,
 )
 from xyzmin.decomp import fano_decompose
+from xyzmin.errors import OracleInconsistent
 from xyzmin.measures import min_fidelity, min_hs, min_trace
 from xyzmin.model import DensityMatrix, ModelParams, thermal_state
 from xyzmin.oracle import (
@@ -22,6 +25,7 @@ from xyzmin.oracle import (
     _grid,
     _measure,
     _objective,
+    _terms,
     fidelity_wang,
     max_over_measurements,
     post_measurement_state,
@@ -64,7 +68,7 @@ def measure(m, axes):
 
 
 def objective(m, axes, kind):
-    return _objective(_Sandwiches(m), _axis_products(axes), kind)
+    return _objective(_Sandwiches(m), _terms(axes, kind), kind)
 
 
 def default_grid_axes():
@@ -73,6 +77,16 @@ def default_grid_axes():
                          np.linspace(0.0, 2 * math.pi, DEFAULT_GRID[1], endpoint=False),
                          indexing="ij")
     return np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+
+
+_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def spin_flip_average(rho):
+    """(rho + (sigma_y x sigma_y) rho* (sigma_y x sigma_y)) / 2: both local
+    Bloch vectors vanish and the correlation matrix is that of rho, so the
+    state is zero-Bloch and in general not an X-state."""
+    return DensityMatrix((rho.matrix + _YY @ rho.matrix.conj() @ _YY) / 2.0)
 
 
 def unit_axes(rng, shape):
@@ -143,7 +157,7 @@ class TestMeasureMatchesProjectors:
         axes = default_grid_axes().reshape(-1, 3)
         assert len(axes) == 91 * 361
         # a zero-Bloch thermal X-state and two complex non-X states: the
-        # quadratic forms assume no X-state structure
+        # linear and 2x2-block forms assume no X-state structure
         states = [thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)).matrix,
                   random_state(rng).matrix, random_state(rng).matrix]
         for m in states:
@@ -251,14 +265,14 @@ class TestMaxOverMeasurements:
             assert res.refined
             assert abs(res.value - value) <= 1e-14
 
-    # a known miss of the grid oracle: two Pauli correlation magnitudes nearly
-    # tie, and Nelder-Mead from the grid argmax stalls on a saddle short of the
-    # maximum (misses of about 3.4e-6 in hs_sq and 6.8e-6 in one_minus_fidelity);
-    # an exact maximum for these two kinds turns these into XPASS
+    # a former miss of the grid oracle: two Pauli correlation magnitudes
+    # nearly tie, and Nelder-Mead from the grid argmax stalled on a saddle
+    # short of the maximum (misses of about 3.4e-6 in hs_sq and 6.8e-6 in
+    # one_minus_fidelity) before these two kinds took the exact maximum
     TIE_MISS = dict(J=-3.7552, Jz=-0.2929, gamma=0.9462, beta=1.1489)
 
-    @pytest.mark.xfail(strict=True, reason="grid oracle stalls on a saddle near a tie")
     @pytest.mark.parametrize("kind,closed_form", [("hs_sq", min_hs),
+                                                  ("trace", min_trace),
                                                   ("one_minus_fidelity", min_fidelity)])
     def test_tie_miss_state(self, kind, closed_form):
         rho = thermal_state(ModelParams(**self.TIE_MISS))
@@ -277,6 +291,105 @@ class TestMaxOverMeasurements:
             rho = random_x_state(rng, zero_bloch_a=True)
             res = max_over_measurements(rho, "trace", grid=SMALL_GRID)
             assert abs(res.value - min_trace(fano_decompose(rho))) < 1e-6
+
+
+class TestExactRefinement:
+    """The free-axis maximum of hs_sq and one_minus_fidelity, the smallest
+    eigenpair of sym(U), against the definition on the grid and at random
+    axes, and against the closed forms."""
+
+    @staticmethod
+    def states(rng):
+        params = [p for p, _ in TestMaxOverMeasurements.PINNED]
+        params.append(TestMaxOverMeasurements.TIE_MISS)
+        return ([thermal_state(ModelParams(**p)) for p in params]
+                + [spin_flip_average(random_state(rng)) for _ in range(3)])
+
+    def test_exact_maximum_against_grid_random_axes_and_closed_form(self, rng):
+        grid_axes = default_grid_axes().reshape(-1, 3)
+        # a grid cell's diagonal, which bounds the angle from any axis of the
+        # hemisphere to the nearest grid axis
+        cell = math.hypot(math.pi / 180, 2 * math.pi / 361)
+        for rho in self.states(rng):
+            f = fano_decompose(rho)
+            sw = _Sandwiches(rho.matrix)
+            u, r2 = sw.forms
+            lam = np.linalg.eigvalsh((u.reshape(3, 3) + u.reshape(3, 3).T) / 2)
+            for kind, closed_form, scale in (("hs_sq", min_hs, 1.0),
+                                             ("one_minus_fidelity", min_fidelity, r2)):
+                res = max_over_measurements(rho, kind)
+                assert res.refined
+                assert abs(res.value - closed_form(f)) <= 1e-13
+                grid_max = np.max(projector_objective(rho.matrix, grid_axes, kind))
+                assert res.value >= grid_max - 1e-15
+                # along n = cos(d) v + sin(d) w the Rayleigh quotient rises
+                # by at most sin(d)^2 (lam_max - lam_min)
+                resolution = math.sin(cell) ** 2 * (lam[2] - lam[0]) / 2 / scale
+                assert res.value - grid_max <= resolution
+                at_random = projector_objective(rho.matrix, unit_axes(rng, (1000,)), kind)
+                assert res.value >= np.max(at_random) - 1e-15
+                # the axis attains the value and lies on the searched hemisphere
+                at_axis = float(projector_objective(rho.matrix, res.argmax_axis.n, kind))
+                assert abs(at_axis - res.value) <= 1e-15
+                assert res.argmax_axis.theta <= math.pi / 2
+
+    @pytest.mark.parametrize("kind", ["hs_sq", "one_minus_fidelity"])
+    def test_grid_above_exact_maximum_raises(self, monkeypatch, kind):
+        true_forms, reads = _Sandwiches.forms.func, []
+
+        def forms(sw):
+            # the grid search reads the true forms first; later reads shift
+            # sym(U) by 1e-2, which understates the exact maximum by 5e-3,
+            # far beyond the grid's miss
+            u, r2 = true_forms(sw)
+            reads.append(kind)
+            return (u + 1e-2 * np.eye(3).ravel() if len(reads) > 1 else u), r2
+
+        monkeypatch.setattr(_Sandwiches, "forms", property(forms))
+        rho = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8))
+        with pytest.raises(OracleInconsistent):
+            max_over_measurements(rho, kind)
+
+
+class TestTraceBlockForm:
+    """The trace objective 2 sqrt(||K||^2 + 2 |det K|) against the eigenvalues
+    of the explicit m - sigma where m - sigma is rank deficient, which a form
+    built from Tr A^2 and Tr A^4 loses to cancellation."""
+
+    def test_rank_deficient_states_over_default_grid(self, rng):
+        g = rng.normal(size=4) + 1j * rng.normal(size=4)
+        pure = np.outer(g, g.conj()) / np.vdot(g, g).real
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho_b = h @ h.conj().T
+        product = np.kron(np.diag([1.0, 0.0]), rho_b / np.trace(rho_b).real)
+        axes = default_grid_axes().reshape(-1, 3)
+        for m in (bell_phi_plus().matrix, pure, product):
+            dev = objective(m, axes, "trace") - projector_objective(m, axes, "trace")
+            assert np.max(np.abs(dev)) <= 1e-14
+
+    def test_antipodes_agree(self, rng):
+        m = random_state(rng).matrix
+        axes = unit_axes(rng, (200,))
+        dev = objective(m, axes, "trace") - objective(m, -axes, "trace")
+        assert np.max(np.abs(dev)) <= 1e-15
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), thermal=st.booleans(),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi))
+def test_free_axis_maximum_dominates_any_axis(seed, thermal, theta, phi):
+    rng = np.random.default_rng(seed)
+    if thermal:
+        j, jz, g = rng.uniform(-5.0, 5.0, size=3)
+        rho = thermal_state(ModelParams(J=j, Jz=jz, gamma=g, beta=rng.uniform(0.2, 2.0)))
+    else:
+        rho = spin_flip_average(random_state(rng))
+    n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                  math.cos(theta)])
+    for kind in KINDS:
+        res = max_over_measurements(rho, kind, grid=SMALL_GRID)
+        assert res.refined
+        assert res.value >= float(objective(rho.matrix, n, kind)) - 1e-12
 
 
 class TestFidelitySpectral:
