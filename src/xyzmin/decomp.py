@@ -9,7 +9,8 @@ Both operator conventions are kept side by side:
   gamma_full = [[1/2, y^t], [x, T]] which satisfies ||gamma_full||^2 = Tr rho^2.
 
 Carrying both eliminates silent factor-of-2 mistakes between the closed
-formulas stated in either convention.
+formulas stated in either convention.  A stack of states, shape (n, 4, 4),
+gives a FanoForm whose fields carry the same leading axis.
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,19 @@ from .model import DensityMatrix
 X_ZERO_TOL = 1e-9
 
 
+def pinned_axis(bloch_a):
+    """|a|^2 for local Bloch vectors a of shape (..., 3), the mask of
+    |a| > X_ZERO_TOL, where a pins the measurement axis, and the unit axis
+    a/|a| there (0 where the mask is False)."""
+    na2 = np.einsum("...i,...i->...", bloch_a, bloch_a)
+    na = np.sqrt(na2)
+    pinned = na > X_ZERO_TOL
+    return na2, pinned, bloch_a / np.where(pinned, na, np.inf)[..., None]
+
+
 @dataclass(frozen=True, eq=False)
 class FanoForm:
+    # shapes for one state; a stack prefixes its own axis
     bloch_a: np.ndarray   # (3,)  Tr(rho sigma_i x I)
     bloch_b: np.ndarray   # (3,)  Tr(rho I x sigma_j)
     pauli_corr: np.ndarray  # (3, 3)  Tr(rho sigma_i x sigma_j)
@@ -39,14 +51,15 @@ class FanoForm:
 def fano_decompose(rho: DensityMatrix) -> FanoForm:
     # r[i, j] = Tr(rho sigma_i x sigma_j), index 0 the identity: r[0, 0] is
     # Tr rho, the first column bloch_a, the first row bloch_b
-    r = np.einsum("ijab,ba->ij", PAULI_BASIS, rho.matrix).real
+    r = np.einsum("ijab,...ba->...ij", PAULI_BASIS, rho.matrix).real
     gamma = r / 2.0
-    gamma[0, 0] = 0.5
-    return FanoForm(bloch_a=r[1:, 0], bloch_b=r[0, 1:], pauli_corr=r[1:, 1:],
-                    x=gamma[1:, 0], y=gamma[0, 1:], t=gamma[1:, 1:], gamma_full=gamma)
+    gamma[..., 0, 0] = 0.5
+    return FanoForm(bloch_a=r[..., 1:, 0], bloch_b=r[..., 0, 1:], pauli_corr=r[..., 1:, 1:],
+                    x=gamma[..., 1:, 0], y=gamma[..., 0, 1:], t=gamma[..., 1:, 1:],
+                    gamma_full=gamma)
 
 
 def reconstruct(f: FanoForm) -> DensityMatrix:
     """Inverse of fano_decompose, from gamma_full; raises StateInvalid if the
     coefficients do not describe a positive state."""
-    return DensityMatrix(np.einsum("ij,ijab->ab", f.gamma_full, PAULI_BASIS) / 2.0)
+    return DensityMatrix(np.einsum("...ij,ijab->...ab", f.gamma_full, PAULI_BASIS) / 2.0)

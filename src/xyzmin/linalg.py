@@ -2,7 +2,8 @@
 
 Everything here is a thin, validated wrapper around numpy; the rest of the
 package only ever needs the Pauli operators, their two-qubit products and
-Hermiticity checks of single- and two-qubit operators.
+Hermiticity checks of single- and two-qubit operators, one at a time or as a
+stack of shape (n, d, d).
 """
 
 import numpy as np
@@ -16,18 +17,21 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def as_matrix(m):
-    """Coerce input to a complex square ndarray of dimension 2 or 4."""
+    """Coerce input to a complex square ndarray of dimension 2 or 4, or to a
+    stack of them, shape (n, d, d)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
     return a
 
 
 def dagger(m):
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
 def is_hermitian(m, tol=HERMITIAN_TOL):
+    """Whether m, or every matrix of a stack m, is Hermitian within tol."""
     m = np.asarray(m)
     return float(np.max(np.abs(m - dagger(m)))) <= tol
 

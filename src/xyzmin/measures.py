@@ -2,7 +2,9 @@
 
 General closed forms: the Wootters concurrence of a density matrix, and the
 Hilbert-Schmidt (min_hs), trace-distance (min_trace) and fidelity
-(min_fidelity) MIN of a Fano form.  The X-state kernel thermal_measures is
+(min_fidelity) MIN of a Fano form.  Each takes one state or a stack of them
+and returns a numpy scalar or an array over the stack; every branch of a
+formula is a mask over the stack.  The X-state kernel thermal_measures is
 the one thermal path: the concurrence and every MIN variant from the six
 thermal elements, for a batch of points.  critical_window bounds the
 zero-concurrence window in Jz.  The printed thermal trace-distance formula is
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import X_ZERO_TOL, FanoForm
+from .decomp import X_ZERO_TOL, FanoForm, pinned_axis
 from .errors import ConventionMismatch, DomainError, NotDiagonalCorrelation
-from .linalg import PAULI_BASIS
+from .linalg import PAULI_BASIS, dagger
 from .model import (
     DensityMatrix,
     ModelParams,
@@ -80,12 +82,10 @@ def concurrence(rho: DensityMatrix) -> float:
     them as singular values keeps the small ones accurate to machine epsilon
     in absolute terms, which a direct nonsymmetric eigensolve does not.
     """
-    m = rho.matrix
-    w, v = np.linalg.eigh(m)
-    w[w < 0] = 0.0
-    root = (v * np.sqrt(w)) @ v.conj().T
+    w, v = np.linalg.eigh(rho.matrix)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ dagger(v)
     sv = np.linalg.svd(np.conj(root) @ _SPIN_FLIP @ root, compute_uv=False)
-    return float(max(0.0, sv[0] - sv[1] - sv[2] - sv[3]))
+    return np.maximum(0.0, sv[..., 0] - sv[..., 1] - sv[..., 2] - sv[..., 3])[()]
 
 
 def _log_geo(x, r, log_one_minus_r):
@@ -143,45 +143,53 @@ def critical_window(p: ModelParams) -> CriticalWindow:
     return CriticalWindow(jc1=jc1, jc2=jc2)
 
 
+def _along(v, m):
+    """v^t m v for vectors v of shape (..., 3) and matrices m of (..., 3, 3)."""
+    return (v[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
+
+
 def min_hs(f: FanoForm) -> float:
     """Hilbert-Schmidt MIN, orthonormal-convention closed form."""
-    tt = f.t @ f.t.T
-    if float(np.linalg.norm(f.bloch_a)) > X_ZERO_TOL:
-        xhat = f.bloch_a / np.linalg.norm(f.bloch_a)
-        return float(np.trace(tt) - xhat @ tt @ xhat)
-    return float(np.trace(tt) - np.min(np.linalg.eigvalsh(tt)))
+    tt = f.t @ np.swapaxes(f.t, -1, -2)
+    _, pinned, xhat = pinned_axis(f.bloch_a)
+    total = np.trace(tt, axis1=-2, axis2=-1)
+    weakest = np.where(pinned, _along(xhat, tt), np.linalg.eigvalsh(tt)[..., 0])
+    return (total - weakest)[()]
 
 
 def min_trace(f: FanoForm) -> float:
     """Trace MIN closed form for states with diagonal Pauli correlations.
 
     The norms are Euclidean; with that reading the x != 0 branch reduces to
-    the known X-state value, which the trace-norm oracle confirms.
+    the known X-state value, which the trace-norm oracle confirms.  Raises
+    NotDiagonalCorrelation if any state of a stack is outside that domain.
     """
-    off = f.pauli_corr - np.diag(np.diag(f.pauli_corr))
+    c = np.diagonal(f.pauli_corr, axis1=-2, axis2=-1)
+    off = f.pauli_corr - c[..., None] * np.eye(3)
     if float(np.max(np.abs(off))) > DIAG_CORR_TOL:
         raise NotDiagonalCorrelation(
             "pauli correlation matrix is not diagonal; use the measurement oracle"
         )
-    c = np.diag(f.pauli_corr)
     xv = f.bloch_a
-    nx = float(np.linalg.norm(xv))
-    if nx <= X_ZERO_TOL:
-        return float(np.max(np.abs(c)))
+    nx2, pinned, _ = pinned_axis(xv)
+    nx = np.sqrt(nx2)
+    abs_c, abs_x = np.abs(c), np.abs(xv)
     # with x along a correlation eigenaxis the quartic collapses exactly to
     # the largest transverse |c|; evaluating it that way avoids the
     # cancellation in chi_- when the two transverse components nearly tie
-    aligned = np.abs(xv) > (1.0 - 1e-12) * nx
-    if np.any(aligned):
-        k = int(np.argmax(np.abs(xv)))
-        return float(np.max(np.abs(np.delete(c, k))))
+    aligned = np.any(abs_x > (1.0 - 1e-12) * nx[..., None], axis=-1)
+    along_x = np.arange(3) == np.argmax(abs_x, axis=-1)[..., None]
+    transverse = np.max(np.where(along_x, 0.0, abs_c), axis=-1)
     c2, x2 = c * c, xv * xv
-    alpha = float(c2.sum() * x2.sum() - (c2 * x2).sum())
-    beta_t = float(x2[0] * c2[1] * c2[2] + x2[1] * c2[2] * c2[0] + x2[2] * c2[0] * c2[1])
-    root = 2.0 * math.sqrt(beta_t) * nx
-    chi_p = max(0.0, alpha + root)
-    chi_m = max(0.0, alpha - root)
-    return (math.sqrt(chi_p) + math.sqrt(chi_m)) / (2.0 * nx)
+    alpha = c2.sum(axis=-1) * x2.sum(axis=-1) - (c2 * x2).sum(axis=-1)
+    beta_t = (x2[..., 0] * c2[..., 1] * c2[..., 2] + x2[..., 1] * c2[..., 2] * c2[..., 0]
+              + x2[..., 2] * c2[..., 0] * c2[..., 1])
+    root = 2.0 * np.sqrt(beta_t) * nx
+    chi_p = np.maximum(0.0, alpha + root)
+    chi_m = np.maximum(0.0, alpha - root)
+    quartic = (np.sqrt(chi_p) + np.sqrt(chi_m)) / (2.0 * np.where(pinned, nx, 1.0))
+    return np.where(~pinned, np.max(abs_c, axis=-1),
+                    np.where(aligned, transverse, quartic))[()]
 
 
 def min_fidelity(f: FanoForm) -> float:
@@ -193,15 +201,12 @@ def min_fidelity(f: FanoForm) -> float:
     for a != 0 (pinned axis) and the smallest eigenvalue of C C^t otherwise.
     """
     a, b, c = f.bloch_a, f.bloch_b, f.pauli_corr
-    na2 = float(a @ a)
-    den = 1.0 + na2 + float(b @ b) + float(np.sum(c * c))
-    cct = c @ c.T
-    if math.sqrt(na2) > X_ZERO_TOL:
-        ahat = a / math.sqrt(na2)
-        q = na2 + float(ahat @ cct @ ahat)
-    else:
-        q = float(np.min(np.linalg.eigvalsh(cct)))
-    return 1.0 - (1.0 + float(b @ b) + q) / den
+    na2, pinned, ahat = pinned_axis(a)
+    nb2 = np.einsum("...i,...i->...", b, b)
+    den = 1.0 + na2 + nb2 + np.sum(c * c, axis=(-2, -1))
+    cct = c @ np.swapaxes(c, -1, -2)
+    q = np.where(pinned, na2 + _along(ahat, cct), np.linalg.eigvalsh(cct)[..., 0])
+    return (1.0 - (1.0 + nb2 + q) / den)[()]
 
 
 def thermal_measures(J, Jz, gamma, B, lam, beta) -> ThermalMeasures:

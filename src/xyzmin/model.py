@@ -10,9 +10,12 @@ The Hamiltonian in the computational basis is
 with g the anisotropy, B the field strength and l the field inhomogeneity.
 The thermal state exp(-beta H)/Z is an X-state whose elements are closed
 expressions in eta = sqrt(B^2 + (gJ)^2) and delta = sqrt(l^2 + J^2).
+
+Every function here takes one parameter point or a batch of them: a
+ModelParams whose fields are 1-d arrays of one length gives arrays of that
+length, and stacks of shape (n, 4, 4) in place of 4x4 matrices.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +28,23 @@ PARAMS_NOT_FINITE = "all model parameters must be finite"
 BETA_NOT_POSITIVE = "beta must be positive"
 
 
+def _checked(J, Jz, gamma, B, lam, beta):
+    """The parameters as one float array with a row per parameter, after the
+    checks that every parameter is finite and beta positive."""
+    params = np.array((J, Jz, gamma, B, lam, beta), dtype=float)
+    if not np.isfinite(params).all():
+        raise ValueError(PARAMS_NOT_FINITE)
+    if not (params[5] > 0).all():
+        raise ValueError(BETA_NOT_POSITIVE)
+    return params
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings of the two-spin Hamiltonian plus inverse temperature."""
+    """Couplings of the two-spin Hamiltonian plus inverse temperature.
+
+    Fields are floats for one point, or 1-d arrays of one length for a batch.
+    """
 
     J: float = 0.0
     Jz: float = 0.0
@@ -37,19 +54,17 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        vals = (self.J, self.Jz, self.gamma, self.B, self.lam, self.beta)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(PARAMS_NOT_FINITE)
-        if self.beta <= 0:
-            raise ValueError(BETA_NOT_POSITIVE)
+        _checked(self.J, self.Jz, self.gamma, self.B, self.lam, self.beta)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
+    """Closed-form spectrum; fields of a batch are arrays over its points."""
+
     eta: float
     delta: float
     energies: tuple  # (E1, E2, E3, E4)
-    eigenvectors: np.ndarray  # columns match the energies
+    eigenvectors: np.ndarray  # (..., 4, 4), columns match the energies
 
 
 @dataclass(frozen=True)
@@ -70,19 +85,22 @@ class ThermalElements:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated two-qubit density matrix (Hermitian, unit trace, PSD)."""
+    """Validated two-qubit density matrix (Hermitian, unit trace, PSD), or a
+    stack of them, shape (n, 4, 4), validated as a whole: one state failing
+    a check fails the stack."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if m.shape[0] != 4:
+        if m.shape[-1] != 4:
             raise StateInvalid("expected a 4x4 two-qubit state")
         if not is_hermitian(m, 1e-12):
             raise StateInvalid("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        if not np.all((np.abs(tr.real - 1.0) <= 1e-12) & (np.abs(tr.imag) <= 1e-12)):
             raise StateInvalid("density matrix trace differs from 1")
-        if float(np.min(np.linalg.eigvalsh(m))) < -POSITIVITY_TOL:
+        if not np.all(np.linalg.eigvalsh(m)[..., 0] >= -POSITIVITY_TOL):
             raise StateInvalid("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
 
@@ -95,45 +113,42 @@ def _sinhc(x):
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)[()]
 
 
+def _couplings(p):
+    """J, Jz, gamma, B and lam of p as float arrays, 0-d for one point."""
+    return (np.asarray(v, dtype=float) for v in (p.J, p.Jz, p.gamma, p.B, p.lam))
+
+
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    g = p.gamma * p.J
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = p.Jz / 2 + p.B
-    h[1, 1] = -p.Jz / 2 + p.lam
-    h[2, 2] = -p.Jz / 2 - p.lam
-    h[3, 3] = p.Jz / 2 - p.B
-    h[0, 3] = h[3, 0] = g
-    h[1, 2] = h[2, 1] = p.J
+    """H at p: shape (4, 4), or (n, 4, 4) for a batch."""
+    J, Jz, gamma, B, lam = _couplings(p)
+    g = gamma * J
+    h = np.zeros(J.shape + (4, 4), dtype=complex)
+    h[..., 0, 0] = Jz / 2 + B
+    h[..., 1, 1] = -Jz / 2 + lam
+    h[..., 2, 2] = -Jz / 2 - lam
+    h[..., 3, 3] = Jz / 2 - B
+    h[..., 0, 3] = h[..., 3, 0] = g
+    h[..., 1, 2] = h[..., 2, 1] = J
     return h
 
 
-def _pair_eigvecs(diag_gap, coupling, hi, lo):
-    """Orthonormal eigenvectors of [[d, c], [c, -d]] embedded at indices (hi, lo).
+def _pair_eigvecs(diag_gap, coupling):
+    """Orthonormal eigenvectors of [[d, c], [c, -d]], elementwise over arrays
+    d = diag_gap and c = coupling: (a, b) for the eigenvalue +sqrt(d^2+c^2)
+    and (-b, a) for -sqrt(d^2+c^2).  Returns (a, b).
 
-    d = diag_gap, c = coupling; returns the vectors for eigenvalues
-    +sqrt(d^2+c^2) and -sqrt(d^2+c^2) as 4-component columns.
+    Where c = 0 (and so also where d = c = 0) they are the basis vectors,
+    (1, 0) for d >= 0 and (0, 1) otherwise.
     """
-    r = math.hypot(diag_gap, coupling)
-    v_plus = np.zeros(4, dtype=complex)
-    v_minus = np.zeros(4, dtype=complex)
-    if r == 0.0 or coupling == 0.0:
-        if diag_gap >= 0:
-            v_plus[hi] = 1.0
-            v_minus[lo] = 1.0
-        else:
-            v_plus[lo] = 1.0
-            v_minus[hi] = 1.0
-        return v_plus, v_minus
-    # pick the numerically larger of the two equivalent component forms
-    if diag_gap >= 0:
-        a, b = diag_gap + r, coupling
-    else:
-        a, b = coupling, r - diag_gap
-    n = math.hypot(a, b)
-    a, b = a / n, b / n
-    v_plus[hi], v_plus[lo] = a, b
-    v_minus[hi], v_minus[lo] = -b, a
-    return v_plus, v_minus
+    r = np.hypot(diag_gap, coupling)
+    up = diag_gap >= 0
+    flat = coupling == 0.0
+    # pick the numerically larger of the two equivalent component forms; its
+    # norm is at least r > 0 where c != 0
+    a = np.where(flat, up, np.where(up, diag_gap + r, coupling))
+    b = np.where(flat, ~up, np.where(up, coupling, r - diag_gap))
+    n = np.hypot(a, b)
+    return a / n, b / n
 
 
 def closed_form_spectrum(p: ModelParams) -> SpectralDecomposition:
@@ -141,15 +156,20 @@ def closed_form_spectrum(p: ModelParams) -> SpectralDecomposition:
 
     E_{1,2} = Jz/2 +- eta live in span{|00>, |11>}, E_{3,4} = -Jz/2 +- delta
     in span{|01>, |10>}; degenerate couplings fall back to the computational
-    basis vectors.
+    basis vectors.  Fields are numpy scalars for one point and arrays over
+    the points of a batch.
     """
-    g = p.gamma * p.J
-    eta = math.hypot(p.B, g)
-    delta = math.hypot(p.lam, p.J)
-    energies = (p.Jz / 2 + eta, p.Jz / 2 - eta, -p.Jz / 2 + delta, -p.Jz / 2 - delta)
-    v1, v2 = _pair_eigvecs(p.B, g, 0, 3)
-    v3, v4 = _pair_eigvecs(p.lam, p.J, 1, 2)
-    vecs = np.column_stack([v1, v2, v3, v4])
+    J, Jz, gamma, B, lam = _couplings(p)
+    g = gamma * J
+    eta = np.hypot(B, g)[()]
+    delta = np.hypot(lam, J)[()]
+    energies = (Jz / 2 + eta, Jz / 2 - eta, -Jz / 2 + delta, -Jz / 2 - delta)
+    vecs = np.zeros(J.shape + (4, 4), dtype=complex)
+    # columns 0, 1 in rows (0, 3) and columns 2, 3 in rows (1, 2)
+    for col, (hi, lo), (a, b) in ((0, (0, 3), _pair_eigvecs(B, g)),
+                                  (2, (1, 2), _pair_eigvecs(lam, J))):
+        vecs[..., hi, col], vecs[..., lo, col] = a, b
+        vecs[..., hi, col + 1], vecs[..., lo, col + 1] = -b, a
     return SpectralDecomposition(eta=eta, delta=delta, energies=energies, eigenvectors=vecs)
 
 
@@ -165,12 +185,7 @@ def thermal_elements_batch(J, Jz, gamma, B, lam, beta) -> ThermalElements:
     parameter too far from zero temperature fails instead of giving inf or nan.
     """
     # a copy with one contiguous row per parameter
-    params = np.array((J, Jz, gamma, B, lam, beta), dtype=float)
-    if not np.isfinite(params).all():
-        raise ValueError(PARAMS_NOT_FINITE)
-    if not (params[5] > 0).all():
-        raise ValueError(BETA_NOT_POSITIVE)
-    J, Jz, gamma, B, lam, beta = params
+    J, Jz, gamma, B, lam, beta = _checked(J, Jz, gamma, B, lam, beta)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         g = gamma * J
         half_jz = beta * Jz / 2
@@ -194,9 +209,9 @@ def thermal_elements_batch(J, Jz, gamma, B, lam, beta) -> ThermalElements:
 
 
 def thermal_elements(p: ModelParams) -> ThermalElements:
-    """Matrix elements of the Gibbs X-state at one point: a batch of one."""
-    t = thermal_elements_batch(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
-    return ThermalElements(*(float(v) for v in vars(t).values()))
+    """Matrix elements of the Gibbs X-state at p: numpy scalars for one
+    point, arrays for a batch."""
+    return thermal_elements_batch(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
 
 
 def check_xstate(d0, d1, d2, d3, k, e):
@@ -215,13 +230,15 @@ def check_xstate(d0, d1, d2, d3, k, e):
 
 
 def thermal_state(p: ModelParams) -> DensityMatrix:
-    """Assemble the Gibbs state from the closed-form elements."""
+    """Assemble the Gibbs state, or a stack of them for a batch, from the
+    closed-form elements."""
     t = thermal_elements(p)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = t.mu_minus
-    m[1, 1] = t.nu_minus
-    m[2, 2] = t.nu_plus
-    m[3, 3] = t.mu_plus
-    m[0, 3] = m[3, 0] = t.kappa
-    m[1, 2] = m[2, 1] = t.epsilon
-    return DensityMatrix(m / t.Z)
+    z = np.asarray(t.Z)
+    m = np.zeros(z.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = t.mu_minus
+    m[..., 1, 1] = t.nu_minus
+    m[..., 2, 2] = t.nu_plus
+    m[..., 3, 3] = t.mu_plus
+    m[..., 0, 3] = m[..., 3, 0] = t.kappa
+    m[..., 1, 2] = m[..., 2, 1] = t.epsilon
+    return DensityMatrix(m / z[..., None, None])

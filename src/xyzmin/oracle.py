@@ -49,9 +49,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .decomp import X_ZERO_TOL, fano_decompose
+from .decomp import fano_decompose, pinned_axis
 from .errors import OracleInconsistent
-from .linalg import PAULI_BASIS
+from .linalg import PAULI_BASIS, dagger
 from .model import DensityMatrix, ModelParams, build_hamiltonian
 
 DEFAULT_GRID = (181, 361)
@@ -108,8 +108,9 @@ _S_COLS = np.ascontiguousarray(PAULI_BASIS[1:, 0].transpose(1, 0, 2).reshape(4, 
 
 
 class _Sandwiches:
-    """What the oracle needs of a 4x4 state m, computed once per state and
-    each part on first use.
+    """What the oracle needs of a 4x4 state m, or of each state of a stack m
+    of shape (n, 4, 4), computed once per state and each part on first use;
+    a stack prefixes each part with its own axis.
 
     table holds the nine sandwiches T_k = S_i m S_j (k = 3i + j) as real
     rows, real and imaginary parts interleaved, so that <A, B> = Re Tr A^+ B
@@ -119,21 +120,23 @@ class _Sandwiches:
 
     def __init__(self, m):
         self.m = m
+        self.lead = m.shape[:-2]
 
     @cached_property
     def table(self):
-        blocks = (_S_ROWS @ self.m @ _S_COLS).reshape(3, 4, 3, 4).transpose(0, 2, 1, 3)
-        return blocks.reshape(9, 16).view(float)
+        blocks = (_S_ROWS @ self.m @ _S_COLS).reshape(*self.lead, 3, 4, 3, 4)
+        return blocks.swapaxes(-3, -2).reshape(*self.lead, 9, 16).view(float)
 
     @cached_property
     def forms(self):
         """(u, r2) of the linear forms: u = table . m and r2 = <m, m>."""
-        mr = np.ascontiguousarray(self.m, dtype=complex).reshape(16).view(float)
-        return self.table @ mr, float(mr @ mr)
+        mr = np.ascontiguousarray(self.m, dtype=complex).reshape(*self.lead, 16).view(float)
+        return (self.table @ mr[..., None])[..., 0], np.einsum("...c,...c->...", mr, mr)
 
     @cached_property
     def blocks(self):
-        return self.m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        m = self.m.reshape(*self.lead, 2, 2, 2, 2)
+        return m.swapaxes(-3, -2).reshape(*self.lead, 4, 4)
 
 
 def _axis_products(axes):
@@ -189,16 +192,20 @@ def fidelity_wang(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _objective(sw, terms, kind):
     """Disturbance of sw.m by the measurement along each axis, given the
     axes' _terms of shape (..., 9) or (..., 4); returns an array of shape
-    (...).  hs_sq and one_minus_fidelity are the linear forms and trace the
-    2x2-block form of the module docstring."""
+    (...).  For a stack sw.m the leading axes of terms pair with its states:
+    one axis per state.  hs_sq and one_minus_fidelity are the linear forms
+    and trace the 2x2-block form of the module docstring."""
     if kind == "trace":
-        k = terms @ sw.blocks
+        blocks = sw.blocks
+        # one state: a single product over every axis
+        k = (terms @ blocks if blocks.ndim == 2
+             else np.einsum("...a,...ab->...b", terms, blocks))
         kr = k.view(float)
         norm_sq = np.einsum("...a,...a->...", kr, kr)
         det = k[..., 0] * k[..., 3] - k[..., 1] * k[..., 2]
         return 2.0 * np.sqrt(norm_sq + 2.0 * np.abs(det))
     u, r2 = sw.forms
-    hs_sq = (r2 - np.einsum("...k,k->...", terms, u)) / 2.0
+    hs_sq = (r2 - np.einsum("...k,...k->...", terms, u)) / 2.0
     if kind == "hs_sq":
         return hs_sq
     if kind == "one_minus_fidelity":
@@ -241,6 +248,16 @@ def _rayleigh_max(sw, kind, grid_max):
     return value, MeasurementAxis.from_vector(n if n[np.flatnonzero(n)[-1]] > 0 else -n)
 
 
+def pinned_disturbance(rho: DensityMatrix, kind: str):
+    """The disturbance of kind of each state of rho, one or a stack, by the
+    measurement along its own local Bloch vector: the value
+    max_over_measurements returns wherever that vector is nonzero, and nan
+    where it vanishes."""
+    _, pinned, n = pinned_axis(fano_decompose(rho).bloch_a)
+    values = _objective(_Sandwiches(rho.matrix), _terms(n, kind), kind)
+    return np.where(pinned, values, np.nan)[()]
+
+
 def max_over_measurements(rho: DensityMatrix, kind: str,
                           grid=DEFAULT_GRID) -> OracleResult:
     """Maximal disturbance of rho over admissible measurements on qubit a.
@@ -250,12 +267,13 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
     """
     sw = _Sandwiches(rho.matrix)
     a = fano_decompose(rho).bloch_a
-    if np.linalg.norm(a) > X_ZERO_TOL:
+    _, pinned, n = pinned_axis(a)
+    if pinned:
         # only the axis parallel to the local Bloch vector leaves the reduced
         # state invariant: no optimization freedom
-        axis = MeasurementAxis.from_vector(a)
-        return OracleResult(value=float(_objective(sw, _terms(axis.n, kind), kind)),
-                            argmax_axis=axis, grid_resolution=(1, 1), refined=False)
+        return OracleResult(value=float(_objective(sw, _terms(n, kind), kind)),
+                            argmax_axis=MeasurementAxis.from_vector(a),
+                            grid_resolution=(1, 1), refined=False)
 
     resolution = (grid[0] // 2 + 1, grid[1])
     tt, pp, q, c = _grid(tuple(grid))
@@ -283,9 +301,10 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
 
 
 def thermal_state_exp(p: ModelParams) -> DensityMatrix:
-    """Gibbs state by numeric eigendecomposition of the Hamiltonian."""
-    h = build_hamiltonian(p)
-    w, v = np.linalg.eigh(h)
-    weights = np.exp(-p.beta * (w - np.min(w)))  # shift avoids overflow
-    m = (v * weights) @ v.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    """Gibbs state by numeric eigendecomposition of the Hamiltonian, or a
+    stack of them for a batch."""
+    w, v = np.linalg.eigh(build_hamiltonian(p))
+    # eigh sorts ascending: shifting by the ground energy avoids overflow
+    weights = np.exp(-np.asarray(p.beta)[..., None] * (w - w[..., :1]))
+    m = (v * weights[..., None, :]) @ dagger(v)
+    return DensityMatrix(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])

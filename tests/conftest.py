@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xyzmin.linalg import PAULI_BASIS
 from xyzmin.measures import thermal_measures
 from xyzmin.model import DensityMatrix, ModelParams
 
@@ -57,6 +58,27 @@ def random_x_state(rng, zero_bloch_a=False):
     m[0, 3] = m[3, 0] = k
     m[1, 2] = m[2, 1] = e
     return DensityMatrix(m)
+
+
+def diagonal_corr_states(rng, n):
+    """Positive states built from Pauli coefficients: a local Bloch vector a
+    off every axis (each component at least a tenth of |a|), a random b and a
+    diagonal correlation matrix.  Off an axis, min_trace takes its quartic
+    branch."""
+    states = []
+    while len(states) < n:
+        a = 0.3 * rng.normal(size=3)
+        if np.min(np.abs(a)) < 0.1 * np.linalg.norm(a):
+            continue
+        r = np.zeros((4, 4))
+        r[0, 0] = 1.0
+        r[1:, 0] = a
+        r[0, 1:] = 0.3 * rng.normal(size=3)
+        r[1:, 1:] = np.diag(rng.uniform(-1.0, 1.0, size=3))
+        m = np.einsum("ij,ijab->ab", r, PAULI_BASIS) / 4.0
+        if np.min(np.linalg.eigvalsh(m)) >= 0.0:
+            states.append(DensityMatrix(m))
+    return states
 
 
 @pytest.fixture

@@ -1,8 +1,20 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
+from xyzmin import cli
 from xyzmin.cli import CSV_HEADER, main
+from xyzmin.decomp import X_ZERO_TOL, fano_decompose
+from xyzmin.measures import concurrence, min_fidelity, min_hs, min_trace, thermal_measures
+from xyzmin.model import (
+    ModelParams,
+    build_hamiltonian,
+    closed_form_spectrum,
+    thermal_state,
+)
+from xyzmin.oracle import max_over_measurements, thermal_state_exp
 
 
 def run(capsys, *argv):
@@ -41,9 +53,6 @@ def test_point_field_matches_thermal_closed_form(capsys):
     rc, out = run(capsys, "point", "--J", "1", "--Jz", "0", "--B", "1")
     assert rc == 0
     vals = parse_point(out)
-    from xyzmin.decomp import fano_decompose
-    from xyzmin.measures import min_hs
-    from xyzmin.model import ModelParams, thermal_state
     expected = min_hs(fano_decompose(thermal_state(ModelParams(J=1.0, B=1.0))))
     assert float(vals["min_hs"]) == pytest.approx(expected, abs=1e-12)
 
@@ -207,6 +216,118 @@ def test_verify_small_run(capsys):
     assert "result: PASS" in out
     rc2, out2 = run(capsys, "verify", "--samples", "5", "--seed", "11")
     assert out2 == out
+
+
+NORMATIVE_LINE = re.compile(r"^(\w+): max_dev (\S+) tol (\S+) (PASS|FAIL) at "
+                            r"(none|sample (\d+) \(J=(\S+), Jz=(\S+), gamma=(\S+), "
+                            r"B=(\S+), lambda=(\S+)\))$")
+
+
+def normative_lines(out):
+    return [m for m in map(NORMATIVE_LINE.match, out.splitlines()) if m]
+
+
+@pytest.mark.parametrize("samples", [1, cli.VERIFY_BLOCK + 1])
+def test_verify_at_block_edges(capsys, samples):
+    rc, out = run(capsys, "verify", "--samples", str(samples), "--seed", "3")
+    assert rc == 0
+    assert out.splitlines()[-1] == "result: PASS"
+    assert len(normative_lines(out)) >= len(cli.VERIFY_CHECKS)
+    rc2, out2 = run(capsys, "verify", "--samples", str(samples), "--seed", "3")
+    assert (rc2, out2) == (rc, out)
+
+
+def test_verify_locates_each_worst_deviation_at_its_drawn_sample(capsys):
+    samples = 30
+    draws = np.random.default_rng(5).uniform(-5.0, 5.0, size=(samples, 5))
+    rc, out = run(capsys, "verify", "--samples", str(samples), "--seed", "5")
+    lines = normative_lines(out)
+    assert rc == 0 and len(lines) == len(cli.VERIFY_CHECKS) + 1
+    for m in lines:
+        if m[5] != "none":
+            drawn = [cli._fmt(v) for v in draws[int(m[6])]]
+            assert list(m.groups()[6:]) == drawn
+
+
+def loop_deviations(vals):
+    """The deviations of verify at one sample, one state at a time, as the
+    per-sample loop computed them: the reference for the batched blocks."""
+    p = ModelParams(J=vals[0], Jz=vals[1], gamma=vals[2], B=vals[3], lam=vals[4])
+    k = thermal_measures(p.J, p.Jz, p.gamma, p.B, p.lam, p.beta)
+    rho = thermal_state(p)
+    sd, h = closed_form_spectrum(p), build_hamiltonian(p)
+    devs = [np.max(np.abs(rho.matrix - thermal_state_exp(p).matrix)),
+            np.max(np.abs(np.sort(np.array(sd.energies)) - np.linalg.eigvalsh(h))),
+            max(np.linalg.norm(h @ v - e * v) for e, v in zip(sd.energies, sd.eigenvectors.T)),
+            abs(k.concurrence - concurrence(rho))]
+    f = fano_decompose(rho)
+    assert np.linalg.norm(f.bloch_a) > X_ZERO_TOL
+    spectral = min_fidelity(f)
+    trace = max_over_measurements(rho, "trace").value
+    devs += [abs(k.min_hs - min_hs(f)), abs(k.min_fidelity - spectral),
+             abs(max_over_measurements(rho, "one_minus_fidelity").value - spectral),
+             abs(min_trace(f) - trace)]
+    return devs, trace / k.min_trace_paper
+
+
+def test_verify_blocks_match_the_per_sample_loop():
+    draws = np.random.default_rng(13).uniform(-5.0, 5.0, size=(40, 5))
+    devs, ratio, use = cli._block_deviations(draws)
+    assert use.all()
+    for i, vals in enumerate(draws):
+        ref, ref_ratio = loop_deviations(vals)
+        assert np.max(np.abs(np.array([d[i] for d in devs]) - ref)) <= 1e-14
+        assert abs(ratio[i] - ref_ratio) <= 1e-14
+
+
+def test_verify_blocks_do_not_change_the_report(capsys, monkeypatch):
+    rc, whole = run(capsys, "verify", "--samples", "30", "--seed", "5")
+    monkeypatch.setattr(cli, "VERIFY_BLOCK", 7)
+    rc2, blocked = run(capsys, "verify", "--samples", "30", "--seed", "5")
+    assert rc == rc2 == 0 and blocked == whole
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.0])
+def test_verify_fails_on_a_bad_deviation_in_a_later_block(capsys, monkeypatch, bad):
+    """A nan or a large deviation in one sample of the third block fails its
+    check, is located at that sample and makes the run exit 1."""
+    pinned_disturbance, calls = cli.pinned_disturbance, []
+
+    def spoiled(rho, kind):
+        values = pinned_disturbance(rho, kind)
+        if kind == "one_minus_fidelity":
+            calls.append(kind)
+            if len(calls) == 3:
+                values[1] = bad
+        return values
+
+    monkeypatch.setattr(cli, "VERIFY_BLOCK", 4)
+    monkeypatch.setattr(cli, "pinned_disturbance", spoiled)
+    rc, out = run(capsys, "verify", "--samples", "10", "--seed", "11")
+    assert rc == 1
+    assert out.splitlines()[-1] == "result: FAIL"
+    failed = [m for m in normative_lines(out) if m[4] == "FAIL"]
+    assert [(m[1], m[6]) for m in failed] == [("fidelity_spectral_vs_measurement_oracle", "9")]
+    if math.isnan(bad):
+        assert failed[0][2] == "nan"
+
+
+@pytest.mark.parametrize("factor", [1.001, 0.999])
+def test_verify_locates_a_ratio_outlier_on_either_side(capsys, monkeypatch, factor):
+    pinned_disturbance = cli.pinned_disturbance
+
+    def spoiled(rho, kind):
+        values = pinned_disturbance(rho, kind)
+        if kind == "trace":
+            values[3] *= factor
+        return values
+
+    monkeypatch.setattr(cli, "pinned_disturbance", spoiled)
+    rc, out = run(capsys, "verify", "--samples", "10", "--seed", "11")
+    assert rc == 1
+    failed = {m[1]: m[6] for m in normative_lines(out) if m[4] == "FAIL"}
+    assert failed == {"trace_min_closed_form_vs_oracle": "3",
+                      "trace_min_printed_ratio_spread": "3"}
 
 
 def test_verify_bad_samples(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     bell_phi_plus,
+    diagonal_corr_states,
     kernel,
     maximally_mixed,
     printed_hs,
@@ -14,7 +15,7 @@ from conftest import (
 )
 from xyzmin.decomp import fano_decompose
 from xyzmin.errors import DomainError, NotDiagonalCorrelation
-from xyzmin.linalg import PAULI_BASIS, kron
+from xyzmin.linalg import kron
 from xyzmin.measures import (
     concurrence,
     critical_window,
@@ -31,27 +32,6 @@ CONC_XXX_J1 = 0.4224691884551877
 
 def thermal_fano(p):
     return fano_decompose(thermal_state(p))
-
-
-def diagonal_corr_states(rng, n):
-    """Positive states built from Pauli coefficients: a local Bloch vector a
-    off every axis (each component at least a tenth of |a|), a random b and a
-    diagonal correlation matrix.  Off an axis, min_trace takes its quartic
-    branch."""
-    states = []
-    while len(states) < n:
-        a = 0.3 * rng.normal(size=3)
-        if np.min(np.abs(a)) < 0.1 * np.linalg.norm(a):
-            continue
-        r = np.zeros((4, 4))
-        r[0, 0] = 1.0
-        r[1:, 0] = a
-        r[0, 1:] = 0.3 * rng.normal(size=3)
-        r[1:, 1:] = np.diag(rng.uniform(-1.0, 1.0, size=3))
-        m = np.einsum("ij,ijab->ab", r, PAULI_BASIS) / 4.0
-        if np.min(np.linalg.eigvalsh(m)) >= 0.0:
-            states.append(DensityMatrix(m))
-    return states
 
 
 def printed_fidelity(f):
