@@ -39,7 +39,7 @@ def _checked(J, Jz, gamma, B, lam, beta):
     return params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Couplings of the two-spin Hamiltonian plus inverse temperature.
 
@@ -67,7 +67,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray  # (..., 4, 4), columns match the energies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalElements:
     """Closed-form X-state matrix elements and partition function.
 

@@ -30,8 +30,13 @@ those of the 2x2 block K = (<+n| x I) m (|-n> x I), each twice, and
 
 with ||K||^2 = ||m - sigma||^2 / 2, taken from K itself so that it stays exact
 where m - sigma is nearly zero.  The table, u, r2 and the regrouped m that K
-is read from are computed once per state and the search grid once per
-resolution.
+is read from are computed once per state.
+
+The search grid is a product of polar and azimuthal angles.  On it q and the
+spinor products that K is built from are each a sum of three products of a
+polar and an azimuthal factor, cached once per resolution, so the objective
+at every grid axis comes from a (polar x 3) by (3 x azimuthal) matrix
+product with the state's u or regrouped m, not from a table per axis.
 
 The maximization runs over measurements that leave the reduced state of the
 measured qubit unchanged (the defining constraint of these measures).  When
@@ -189,23 +194,42 @@ def fidelity_wang(rho: DensityMatrix, sigma: DensityMatrix) -> float:
                  / (np.einsum("ab,ba->", r, r).real * np.einsum("ab,ba->", s, s).real))
 
 
+def _contract(factored, x):
+    """q . u or c . blocks at every axis of a grid, for x = u or blocks of
+    one state and factored = (alpha, F), the grid's factored q or c (see
+    _grid): t = sum_r alpha[i, r] F[r, j] at polar index i and azimuthal
+    index j, so t . x = alpha @ (F . x), of shape (polar, azimuthal) plus
+    the trailing axes of x after the first."""
+    alpha, f = factored
+    fx = f @ x
+    # alpha is real: a product with the float view of a complex fx
+    out = alpha @ fx.view(float).reshape(len(fx), -1)
+    return out.view(fx.dtype).reshape(len(alpha), *fx.shape[1:])
+
+
 def _objective(sw, terms, kind):
     """Disturbance of sw.m by the measurement along each axis, given the
-    axes' _terms of shape (..., 9) or (..., 4); returns an array of shape
-    (...).  For a stack sw.m the leading axes of terms pair with its states:
-    one axis per state.  hs_sq and one_minus_fidelity are the linear forms
-    and trace the 2x2-block form of the module docstring."""
+    axes' _terms of shape (..., 9) or (..., 4), or a grid's factored pair of
+    them (see _contract); returns an array of shape (...), or (polar,
+    azimuthal) for a grid.  For a stack sw.m the leading axes of terms pair
+    with its states: one axis per state.  hs_sq and one_minus_fidelity are
+    the linear forms and trace the 2x2-block form of the module docstring."""
+    grid = isinstance(terms, tuple)
     if kind == "trace":
         blocks = sw.blocks
-        # one state: a single product over every axis
-        k = (terms @ blocks if blocks.ndim == 2
-             else np.einsum("...a,...ab->...b", terms, blocks))
+        if grid:
+            k = _contract(terms, blocks)
+        else:
+            # one state: a single product over every axis
+            k = (terms @ blocks if blocks.ndim == 2
+                 else np.einsum("...a,...ab->...b", terms, blocks))
         kr = k.view(float)
         norm_sq = np.einsum("...a,...a->...", kr, kr)
         det = k[..., 0] * k[..., 3] - k[..., 1] * k[..., 2]
         return 2.0 * np.sqrt(norm_sq + 2.0 * np.abs(det))
     u, r2 = sw.forms
-    hs_sq = (r2 - np.einsum("...k,...k->...", terms, u)) / 2.0
+    qu = _contract(terms, u) if grid else np.einsum("...k,...k->...", terms, u)
+    hs_sq = (r2 - qu) / 2.0
     if kind == "hs_sq":
         return hs_sq
     if kind == "one_minus_fidelity":
@@ -215,15 +239,35 @@ def _objective(sw, terms, kind):
 
 @lru_cache(maxsize=4)
 def _grid(grid):
-    """The axes searched at a grid resolution, as read-only arrays of polar
-    angles and of both _terms, q and c.  Antipodal axes define the same
-    measurement, so a hemisphere suffices, with the pole (z-axis) and the
-    equator sampled exactly."""
+    """The axes searched at a grid resolution, n = (sin t cos p, sin t sin p,
+    cos t) over polar angles t and azimuths p, as read-only arrays: thetas,
+    phis and the factored pairs (alpha_q, Q) and (alpha_c, C) of both _terms,
+    q and c.  On a product grid each is a sum of three products of a polar
+    and an azimuthal factor:
+
+        q = sin^2 t Q_0 + sin t cos t Q_1 + cos^2 t Q_2
+        c = (sin t / 2) C_0 + ((1 + cos t) / 2) C_1
+            + (sin^2 t / (2 (1 + cos t))) C_2
+
+    with C_0 = (e, 0, 0, -e), C_1 = (0, -1, 0, 0) and C_2 = (0, 0, e^2, 0),
+    e = exp(-ip): c of _spinor_products for n_z = cos t >= 0.  Antipodal
+    axes define the same measurement, so a hemisphere suffices, with the pole
+    (z-axis) and the equator sampled exactly."""
     thetas = np.linspace(0.0, math.pi / 2, grid[0] // 2 + 1)
     phis = np.linspace(0.0, 2 * math.pi, grid[1], endpoint=False)
-    tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    n = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=1)
-    arrays = (tt, pp, _axis_products(n), _spinor_products(n))
+    st, ct = np.sin(thetas), np.cos(thetas)
+    cp, sp = np.cos(phis), np.sin(phis)
+    o, one = np.zeros_like(phis), np.ones_like(phis)
+    alpha_q = np.stack([st * st, st * ct, ct * ct], axis=1)
+    q_phi = np.stack([np.stack(f, axis=-1) for f in (
+        (cp * cp, cp * sp, o, cp * sp, sp * sp, o, o, o, o),
+        (o, o, cp, o, o, sp, cp, sp, o),
+        (o, o, o, o, o, o, o, o, one))])
+    e = cp - 1j * sp
+    alpha_c = np.stack([st / 2.0, (1.0 + ct) / 2.0, st * st / (2.0 * (1.0 + ct))], axis=1)
+    c_phi = np.stack([np.stack(f, axis=-1) for f in (
+        (e, o, o, -e), (o, -one, o, o), (o, o, e * e, o))])
+    arrays = (thetas, phis, alpha_q, q_phi, alpha_c, c_phi)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -275,15 +319,15 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
                             argmax_axis=MeasurementAxis.from_vector(a),
                             grid_resolution=(1, 1), refined=False)
 
-    resolution = (grid[0] // 2 + 1, grid[1])
-    tt, pp, q, c = _grid(tuple(grid))
-    vals = _objective(sw, c if kind == "trace" else q, kind)
-    k = int(np.argmax(vals))
+    thetas, phis, alpha_q, q_phi, alpha_c, c_phi = _grid(tuple(grid))
+    resolution = (len(thetas), len(phis))
+    vals = _objective(sw, (alpha_c, c_phi) if kind == "trace" else (alpha_q, q_phi), kind)
+    i, j = divmod(int(np.argmax(vals)), len(phis))
     if kind != "trace":
-        value, axis = _rayleigh_max(sw, kind, float(vals[k]))
+        value, axis = _rayleigh_max(sw, kind, float(vals[i, j]))
         return OracleResult(value=value, argmax_axis=axis, grid_resolution=resolution,
                             refined=True)
-    best_val, best_tp = float(vals[k]), (float(tt[k]), float(pp[k]))
+    best_val, best_tp = float(vals[i, j]), (float(thetas[i]), float(phis[j]))
 
     def neg(tp):
         th, ph = tp

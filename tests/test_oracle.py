@@ -13,6 +13,7 @@ from conftest import (
     random_state,
     random_x_state,
 )
+from xyzmin import oracle
 from xyzmin.decomp import fano_decompose
 from xyzmin.errors import OracleInconsistent
 from xyzmin.measures import min_fidelity, min_hs, min_trace
@@ -71,12 +72,31 @@ def objective(m, axes, kind):
     return _objective(_Sandwiches(m), _terms(axes, kind), kind)
 
 
-def default_grid_axes():
-    """The hemisphere of axes that max_over_measurements searches at DEFAULT_GRID."""
-    tt, pp = np.meshgrid(np.linspace(0.0, math.pi / 2, DEFAULT_GRID[0] // 2 + 1),
-                         np.linspace(0.0, 2 * math.pi, DEFAULT_GRID[1], endpoint=False),
+def default_grid_axes(grid=DEFAULT_GRID):
+    """The hemisphere of axes that max_over_measurements searches at grid,
+    shape (polar, azimuthal, 3)."""
+    tt, pp = np.meshgrid(np.linspace(0.0, math.pi / 2, grid[0] // 2 + 1),
+                         np.linspace(0.0, 2 * math.pi, grid[1], endpoint=False),
                          indexing="ij")
     return np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+
+
+def general_states(rng):
+    """A zero-Bloch thermal X-state and two complex non-X states: the linear
+    and 2x2-block forms assume no X-state structure."""
+    return [thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)).matrix,
+            random_state(rng).matrix, random_state(rng).matrix]
+
+
+def rank_deficient_states(rng):
+    """Bell, a random pure state and |0><0| x rho_b, where m - sigma is rank
+    deficient at some axes."""
+    g = rng.normal(size=4) + 1j * rng.normal(size=4)
+    pure = np.outer(g, g.conj()) / np.vdot(g, g).real
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho_b = h @ h.conj().T
+    product = np.kron(np.diag([1.0, 0.0]), rho_b / np.trace(rho_b).real)
+    return [bell_phi_plus().matrix, pure, product]
 
 
 _YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
@@ -156,14 +176,26 @@ class TestMeasureMatchesProjectors:
     def test_objective_over_default_grid(self, rng):
         axes = default_grid_axes().reshape(-1, 3)
         assert len(axes) == 91 * 361
-        # a zero-Bloch thermal X-state and two complex non-X states: the
-        # linear and 2x2-block forms assume no X-state structure
-        states = [thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)).matrix,
-                  random_state(rng).matrix, random_state(rng).matrix]
-        for m in states:
+        for m in general_states(rng):
             for kind in KINDS:
                 dev = np.abs(objective(m, axes, kind) - projector_objective(m, axes, kind))
                 assert np.max(dev) <= 1e-14
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, SMALL_GRID])
+    def test_factored_grid_terms(self, rng, grid):
+        # the grid's factored terms through the one objective, against the
+        # definition at every axis of the grid
+        thetas, phis, alpha_q, q_phi, alpha_c, c_phi = _grid(grid)
+        axes = default_grid_axes(grid)
+        assert axes.shape == (len(thetas), len(phis), 3)
+        factored = {"hs_sq": (alpha_q, q_phi), "one_minus_fidelity": (alpha_q, q_phi),
+                    "trace": (alpha_c, c_phi)}
+        cases = [(m, kind) for m in general_states(rng) for kind in KINDS]
+        cases += [(m, "trace") for m in rank_deficient_states(rng)]
+        for m, kind in cases:
+            vals = _objective(_Sandwiches(m), factored[kind], kind)
+            assert vals.shape == axes.shape[:2]
+            assert np.max(np.abs(vals - projector_objective(m, axes, kind))) <= 1e-14
 
 
 class TestFidelityWang:
@@ -245,6 +277,28 @@ class TestMaxOverMeasurements:
             assert (second.value, second.argmax_axis, second.grid_resolution,
                     second.refined) == (first.value, first.argmax_axis,
                                         first.grid_resolution, first.refined)
+
+    def test_trace_refinement_starts_at_grid_argmax(self, rng, monkeypatch):
+        # the flat argmax of the (polar, azimuthal) grid maps to the angles
+        # (thetas[i], phis[j]): Nelder-Mead starts where the definition is
+        # largest on the grid
+        true_minimize, starts = oracle.minimize, []
+
+        def minimize(fun, x0, **kwargs):
+            starts.append(x0)
+            return true_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr("xyzmin.oracle.minimize", minimize)
+        axes = default_grid_axes(SMALL_GRID)
+        for rho in (thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)),
+                    spin_flip_average(random_state(rng))):
+            max_over_measurements(rho, "trace", grid=SMALL_GRID)
+            theta, phi = starts.pop()
+            at_start = projector_objective(rho.matrix, MeasurementAxis(theta, phi).n, "trace")
+            on_grid = projector_objective(rho.matrix, axes, "trace")
+            assert abs(at_start - np.max(on_grid)) <= 1e-14
+            # a start at a wrong axis would fall short: the maximum is no plateau
+            assert np.max(on_grid) - np.median(on_grid) > 1e-2
 
     # values of the projector-form oracle at DEFAULT_GRID (hs_sq, trace,
     # one_minus_fidelity) on zero-Bloch thermal states
@@ -357,13 +411,8 @@ class TestTraceBlockForm:
     built from Tr A^2 and Tr A^4 loses to cancellation."""
 
     def test_rank_deficient_states_over_default_grid(self, rng):
-        g = rng.normal(size=4) + 1j * rng.normal(size=4)
-        pure = np.outer(g, g.conj()) / np.vdot(g, g).real
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho_b = h @ h.conj().T
-        product = np.kron(np.diag([1.0, 0.0]), rho_b / np.trace(rho_b).real)
         axes = default_grid_axes().reshape(-1, 3)
-        for m in (bell_phi_plus().matrix, pure, product):
+        for m in rank_deficient_states(rng):
             dev = objective(m, axes, "trace") - projector_objective(m, axes, "trace")
             assert np.max(np.abs(dev)) <= 1e-14
 

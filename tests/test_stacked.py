@@ -143,6 +143,15 @@ class TestModel:
         with pytest.raises(ValueError, match="beta must be positive"):
             ModelParams(ones, ones, ones, ones, ones, np.array([1.0, 1.0, -1.0]))
 
+    def test_batches_hash_and_compare_by_identity(self):
+        # array fields have no hash and no truth value, so a field-wise
+        # __eq__ or __hash__ would raise on a batch
+        two = np.array([1.0, 2.0])
+        p, q = ModelParams(*[two] * 6), ModelParams(two + 1.0, *[two] * 5)
+        for a, b in ((p, q), (thermal_elements(p), thermal_elements(q))):
+            assert isinstance(hash(a), int)
+            assert a == a and not a == b and a != b
+
 
 class TestGeneralMeasures:
     def test_fano_form_and_reconstruction(self, states):
