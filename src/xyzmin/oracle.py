@@ -44,10 +44,14 @@ the local Bloch vector is nonzero this pins the measurement axis to it; when
 it vanishes every axis is admissible.  The definition is then evaluated on a
 grid over the hemisphere of axes: for hs_sq and one_minus_fidelity the grid
 maximum cross-checks the exact Rayleigh maximum, which is returned; for trace
-a derivative-free refinement starts from the grid argmax.
+a derivative-free refinement starts from the grid argmax.  Both linear forms
+are non-increasing in q.u, also as rounded (r2 > 0, and IEEE rounding is
+monotone), so their grid maximum is the form at the grid's least q.u, bit
+for bit: the grid is reduced to q.u alone, and the form is taken once.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -79,10 +83,16 @@ class MeasurementAxis:
     @classmethod
     def from_vector(cls, v):
         v = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"cannot build a measurement axis from the non-finite vector {v}")
+        largest = float(np.max(np.abs(v)))
+        if largest == 0.0:
             raise ValueError("cannot build a measurement axis from the zero vector")
-        v = v / norm
+        # scaled exactly, by a power of two, to max |v_i| in [1/2, 1): the norm
+        # can then neither underflow nor overflow, and elsewhere the angles
+        # are those of v / ||v|| bit for bit
+        v = np.ldexp(v, -math.frexp(largest)[1])
+        v = v / np.linalg.norm(v)
         return cls(theta=math.acos(max(-1.0, min(1.0, v[2]))),
                    phi=math.atan2(v[1], v[0]) % (2 * math.pi))
 
@@ -96,9 +106,10 @@ class OracleResult:
     True when every axis was admissible and the hemisphere of axes was
     searched on a grid of grid_resolution (polar, azimuthal) points.  For
     hs_sq and one_minus_fidelity the value is then the exact Rayleigh maximum,
-    checked against the grid, at the eigenvector axis on the searched
-    hemisphere; for trace it is the best of the grid and a Nelder-Mead
-    refinement from the grid argmax."""
+    checked against the grid maximum (the objective at the grid's least q.u,
+    exactly its largest grid value, as both objectives fall as q.u grows),
+    at the eigenvector axis on the searched hemisphere; for trace it is the
+    best of the grid and a Nelder-Mead refinement from the grid argmax."""
 
     value: float
     argmax_axis: MeasurementAxis
@@ -229,6 +240,13 @@ def _objective(sw, terms, kind):
         return 2.0 * np.sqrt(norm_sq + 2.0 * np.abs(det))
     u, r2 = sw.forms
     qu = _contract(terms, u) if grid else np.einsum("...k,...k->...", terms, u)
+    return _linear_form(kind, qu, r2)
+
+
+def _linear_form(kind, qu, r2):
+    """hs_sq = (r2 - q.u) / 2, or one_minus_fidelity = hs_sq / r2, from q.u
+    and r2 (module docstring).  Both are non-increasing in q.u, also as
+    rounded, since r2 > 0 and IEEE rounding is monotone."""
     hs_sq = (r2 - qu) / 2.0
     if kind == "hs_sq":
         return hs_sq
@@ -281,8 +299,7 @@ def _rayleigh_max(sw, kind, grid_max):
     u, r2 = sw.forms
     U = u.reshape(3, 3)
     lam, vecs = np.linalg.eigh((U + U.T) / 2.0)
-    hs_sq = float(r2 - lam[0]) / 2.0
-    value = hs_sq if kind == "hs_sq" else hs_sq / r2
+    value = float(_linear_form(kind, lam[0], r2))
     if grid_max > value + 1e-15 * max(1.0, r2):
         raise OracleInconsistent(
             f"{kind}: grid maximum {grid_max!r} exceeds the Rayleigh maximum {value!r}")
@@ -302,6 +319,14 @@ def pinned_disturbance(rho: DensityMatrix, kind: str):
     return np.where(pinned, values, np.nan)[()]
 
 
+def _checked_grid(grid):
+    """grid as a (polar, azimuthal) pair of ints, each at least 1."""
+    pair = tuple(grid) if np.iterable(grid) else ()
+    if len(pair) != 2 or not all(isinstance(g, numbers.Integral) and g >= 1 for g in pair):
+        raise ValueError(f"grid must be two integers >= 1 (polar, azimuthal), got {grid!r}")
+    return tuple(int(g) for g in pair)
+
+
 def max_over_measurements(rho: DensityMatrix, kind: str,
                           grid=DEFAULT_GRID) -> OracleResult:
     """Maximal disturbance of rho over admissible measurements on qubit a.
@@ -309,6 +334,7 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
     kind selects the objective: squared Hilbert-Schmidt norm ("hs_sq"), trace
     norm ("trace"), or one minus the Wang fidelity ("one_minus_fidelity").
     """
+    grid = _checked_grid(grid)
     sw = _Sandwiches(rho.matrix)
     a = fano_decompose(rho).bloch_a
     _, pinned, n = pinned_axis(a)
@@ -319,14 +345,17 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
                             argmax_axis=MeasurementAxis.from_vector(a),
                             grid_resolution=(1, 1), refined=False)
 
-    thetas, phis, alpha_q, q_phi, alpha_c, c_phi = _grid(tuple(grid))
+    thetas, phis, alpha_q, q_phi, alpha_c, c_phi = _grid(grid)
     resolution = (len(thetas), len(phis))
-    vals = _objective(sw, (alpha_c, c_phi) if kind == "trace" else (alpha_q, q_phi), kind)
-    i, j = divmod(int(np.argmax(vals)), len(phis))
     if kind != "trace":
-        value, axis = _rayleigh_max(sw, kind, float(vals[i, j]))
+        # the grid maximum is the form at the least q.u (module docstring)
+        u, r2 = sw.forms
+        grid_max = _linear_form(kind, _contract((alpha_q, q_phi), u).min(), r2)
+        value, axis = _rayleigh_max(sw, kind, float(grid_max))
         return OracleResult(value=value, argmax_axis=axis, grid_resolution=resolution,
                             refined=True)
+    vals = _objective(sw, (alpha_c, c_phi), kind)
+    i, j = divmod(int(np.argmax(vals)), len(phis))
     best_val, best_tp = float(vals[i, j]), (float(thetas[i]), float(phis[j]))
 
     def neg(tp):

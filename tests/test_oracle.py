@@ -129,6 +129,18 @@ class TestMeasurementAxis:
         with pytest.raises(ValueError):
             MeasurementAxis.from_vector([0, 0, 0])
 
+    @pytest.mark.parametrize("v", [[math.nan, 0, 1], [math.inf, 0, 0], [0, -math.inf, 1]])
+    def test_non_finite_vector_rejected(self, v):
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementAxis.from_vector(v)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-170, 1e170, 5e307])
+    def test_tiny_and_huge_vectors(self, scale):
+        # the norm of v itself underflows to 0 (tiny) or overflows (huge)
+        base = np.array([1.0, -1.0, 2.0])
+        a = MeasurementAxis.from_vector(base * scale)
+        assert np.allclose(a.n, base / np.linalg.norm(base), rtol=0, atol=1e-15)
+
 
 class TestPostMeasurement:
     def test_maximally_mixed_invariant(self):
@@ -265,6 +277,14 @@ class TestMaxOverMeasurements:
                 assert batch.shape == (16,)
                 assert np.max(np.abs(batch - single)) <= 1e-15
 
+    @pytest.mark.parametrize("grid", [(3, 0), (-4, 5), (5.5, 7), (181,), (181, 361, 1),
+                                      "ab", 181, None])
+    def test_bad_grid_rejected(self, grid):
+        rho = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8))
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="grid"):
+                max_over_measurements(rho, kind, grid=grid)
+
     def test_grid_cached_read_only_and_calls_repeat_bitwise(self):
         for a in _grid(DEFAULT_GRID):
             assert not a.flags.writeable
@@ -386,6 +406,33 @@ class TestExactRefinement:
                 at_axis = float(projector_objective(rho.matrix, res.argmax_axis.n, kind))
                 assert abs(at_axis - res.value) <= 1e-15
                 assert res.argmax_axis.theta <= math.pi / 2
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, SMALL_GRID])
+    def test_grid_maximum_over_every_axis(self, rng, monkeypatch, grid):
+        # the grid maximum that the exact maximum is checked against is the
+        # largest value of the linear objective over every axis of the grid
+        true_rayleigh_max, grid_maxima = oracle._rayleigh_max, []
+
+        def rayleigh_max(sw, kind, grid_max):
+            grid_maxima.append(grid_max)
+            return true_rayleigh_max(sw, kind, grid_max)
+
+        monkeypatch.setattr("xyzmin.oracle._rayleigh_max", rayleigh_max)
+        _, _, alpha_q, q_phi, _, _ = _grid(grid)
+        axes = default_grid_axes(grid)
+        # spin-flip averages, so that every state takes the grid path
+        states = [spin_flip_average(DensityMatrix(m))
+                  for m in general_states(rng) + rank_deficient_states(rng)]
+        states.append(thermal_state(ModelParams(**TestMaxOverMeasurements.TIE_MISS)))
+        for rho in states:
+            for kind in ("hs_sq", "one_minus_fidelity"):
+                max_over_measurements(rho, kind, grid=grid)
+                (grid_max,) = grid_maxima
+                grid_maxima.clear()
+                on_grid = _objective(_Sandwiches(rho.matrix), (alpha_q, q_phi), kind)
+                assert grid_max == np.max(on_grid)
+                by_definition = np.max(projector_objective(rho.matrix, axes, kind))
+                assert abs(grid_max - by_definition) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["hs_sq", "one_minus_fidelity"])
     def test_grid_above_exact_maximum_raises(self, monkeypatch, kind):
