@@ -36,11 +36,7 @@ def is_hermitian(m, tol=HERMITIAN_TOL):
     return float(np.max(np.abs(m - dagger(m)))) <= tol
 
 
-def kron(a, b):
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 _SIGMA = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # PAULI_BASIS[i, j] = sigma_i x sigma_j with sigma_0 the identity and
 # sigma_1..3 = x, y, z: the two-qubit operator basis, shape (4, 4, 4, 4)
-PAULI_BASIS = np.array([[kron(si, sj) for sj in _SIGMA] for si in _SIGMA])
+PAULI_BASIS = np.array([[np.kron(si, sj) for sj in _SIGMA] for si in _SIGMA])

@@ -32,6 +32,18 @@ with ||K||^2 = ||m - sigma||^2 / 2, taken from K itself so that it stays exact
 where m - sigma is nearly zero.  The table, u, r2 and the regrouped m that K
 is read from are computed once per state.
 
+Its maximum is exact too where the local Bloch vector a of qubit a vanishes
+(Hu et al., NJP 17, 033004 (2015)).  Write m = (I + I x b.sigma
++ sum T_ij sigma_i x sigma_j) / 4.  The b term commutes with N, so
+m - sigma = sum ((I - nn^T) T)_ij sigma_i x sigma_j / 4, and (I - nn^T) T has
+rank at most 2: a local rotation to its signed singular values d1, d2 gives
+||m - sigma||_1 = (|d1 + d2| + |d1 - d2|) / 2 = sigma_max((I - nn^T) T).  Over
+all axes this is at most sigma_max(T), reached on the great circle of axes
+orthogonal to the top left singular vector of T.  At a = 0,
+sym U = ((1 + |b|^2 - ||T||^2) I + 2 T T^T) / 4, so the eigenvectors of sym U
+are the left singular vectors of T and two of them lie on that circle: the
+maximum is the largest trace objective at the three.
+
 The search grid is a product of polar and azimuthal angles.  On it q and the
 spinor products that K is built from are each a sum of three products of a
 polar and an azimuthal factor, cached once per resolution, so the objective
@@ -41,13 +53,12 @@ product with the state's u or regrouped m, not from a table per axis.
 The maximization runs over measurements that leave the reduced state of the
 measured qubit unchanged (the defining constraint of these measures).  When
 the local Bloch vector is nonzero this pins the measurement axis to it; when
-it vanishes every axis is admissible.  The definition is then evaluated on a
-grid over the hemisphere of axes: for hs_sq and one_minus_fidelity the grid
-maximum cross-checks the exact Rayleigh maximum, which is returned; for trace
-a derivative-free refinement starts from the grid argmax.  Both linear forms
-are non-increasing in q.u, also as rounded (r2 > 0, and IEEE rounding is
-monotone), so their grid maximum is the form at the grid's least q.u, bit
-for bit: the grid is reduced to q.u alone, and the form is taken once.
+it vanishes every axis is admissible.  The exact maximum above is then
+returned, and the definition evaluated on a grid over the hemisphere of axes
+cross-checks it.  Both linear forms are non-increasing in q.u, also as
+rounded (r2 > 0, and IEEE rounding is monotone), so their grid maximum is the
+form at the grid's least q.u, bit for bit: the grid is reduced to q.u alone,
+and the form is taken once.
 """
 
 import math
@@ -56,7 +67,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .decomp import fano_decompose, pinned_axis
 from .errors import OracleInconsistent
@@ -103,13 +113,15 @@ class OracleResult:
 
     refined is False when the local Bloch vector pins the axis; the value is
     then the objective at that axis and grid_resolution is (1, 1).  refined is
-    True when every axis was admissible and the hemisphere of axes was
-    searched on a grid of grid_resolution (polar, azimuthal) points.  For
-    hs_sq and one_minus_fidelity the value is then the exact Rayleigh maximum,
-    checked against the grid maximum (the objective at the grid's least q.u,
-    exactly its largest grid value, as both objectives fall as q.u grows),
-    at the eigenvector axis on the searched hemisphere; for trace it is the
-    best of the grid and a Nelder-Mead refinement from the grid argmax."""
+    True when every axis was admissible; the value is then the exact maximum
+    at an eigenvector axis of sym U on the searched hemisphere, checked
+    against the objective's maximum on a grid of grid_resolution (polar,
+    azimuthal) points over that hemisphere.  For hs_sq and one_minus_fidelity
+    the exact maximum is the Rayleigh one, at the smallest eigenvalue, and the
+    grid maximum is the objective at the grid's least q.u (exactly its largest
+    grid value, as both objectives fall as q.u grows).  For trace it is
+    sigma_max(T), reached on a great circle of axes, of which the returned
+    axis is one."""
 
     value: float
     argmax_axis: MeasurementAxis
@@ -291,21 +303,30 @@ def _grid(grid):
     return arrays
 
 
-def _rayleigh_max(sw, kind, grid_max):
-    """Exact maximum of the linear objective kind over all unit axes, and
-    its axis: the smallest eigenpair of sym(U).  Raises OracleInconsistent if
-    grid_max, the objective's maximum over the search grid, exceeds it by
-    more than rounding."""
+def _exact_max(sw, kind, grid_max):
+    """Exact maximum of the objective kind over all unit axes, and an axis
+    attaining it, from the eigenvectors of sym(U) (module docstring): for
+    the linear kinds the smallest eigenpair, for trace the best of the
+    definition at all three.  Raises OracleInconsistent if grid_max, the
+    objective's maximum over the search grid, exceeds it by more than
+    rounding."""
     u, r2 = sw.forms
     U = u.reshape(3, 3)
     lam, vecs = np.linalg.eigh((U + U.T) / 2.0)
-    value = float(_linear_form(kind, lam[0], r2))
-    if grid_max > value + 1e-15 * max(1.0, r2):
+    if kind == "trace":
+        values = _objective(sw, _spinor_products(vecs.T), kind)
+        i = int(np.argmax(values))
+        value = float(values[i])
+        rounding = 1e-14 * max(1.0, value)
+    else:
+        i, value = 0, float(_linear_form(kind, lam[0], r2))
+        rounding = 1e-15 * max(1.0, r2)
+    if grid_max > value + rounding:
         raise OracleInconsistent(
-            f"{kind}: grid maximum {grid_max!r} exceeds the Rayleigh maximum {value!r}")
+            f"{kind}: grid maximum {grid_max!r} exceeds the exact maximum {value!r}")
     # the antipode defines the same measurement: take the one on the searched
     # hemisphere, the last nonzero component positive
-    n = vecs[:, 0]
+    n = vecs[:, i]
     return value, MeasurementAxis.from_vector(n if n[np.flatnonzero(n)[-1]] > 0 else -n)
 
 
@@ -346,31 +367,15 @@ def max_over_measurements(rho: DensityMatrix, kind: str,
                             grid_resolution=(1, 1), refined=False)
 
     thetas, phis, alpha_q, q_phi, alpha_c, c_phi = _grid(grid)
-    resolution = (len(thetas), len(phis))
-    if kind != "trace":
+    if kind == "trace":
+        grid_max = np.max(_objective(sw, (alpha_c, c_phi), kind))
+    else:
         # the grid maximum is the form at the least q.u (module docstring)
         u, r2 = sw.forms
         grid_max = _linear_form(kind, _contract((alpha_q, q_phi), u).min(), r2)
-        value, axis = _rayleigh_max(sw, kind, float(grid_max))
-        return OracleResult(value=value, argmax_axis=axis, grid_resolution=resolution,
-                            refined=True)
-    vals = _objective(sw, (alpha_c, c_phi), kind)
-    i, j = divmod(int(np.argmax(vals)), len(phis))
-    best_val, best_tp = float(vals[i, j]), (float(thetas[i]), float(phis[j]))
-
-    def neg(tp):
-        th, ph = tp
-        n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
-                      math.cos(th)])
-        return -float(_objective(sw, _spinor_products(n), kind))
-
-    res = minimize(neg, np.array(best_tp), method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": 600})
-    if -res.fun > best_val:
-        best_val, best_tp = -res.fun, tuple(res.x)
-    axis = MeasurementAxis(theta=float(best_tp[0]), phi=float(best_tp[1]) % (2 * math.pi))
-    return OracleResult(value=float(best_val), argmax_axis=axis,
-                        grid_resolution=resolution, refined=True)
+    value, axis = _exact_max(sw, kind, float(grid_max))
+    return OracleResult(value=value, argmax_axis=axis,
+                        grid_resolution=(len(thetas), len(phis)), refined=True)
 
 
 def thermal_state_exp(p: ModelParams) -> DensityMatrix:

@@ -17,7 +17,6 @@ from conftest import (
 )
 from xyzmin.cli import main
 from xyzmin.decomp import fano_decompose
-from xyzmin.linalg import kron
 from xyzmin.measures import (
     critical_window,
     min_fidelity,
@@ -93,11 +92,11 @@ def test_04_spectrum_equivalence():
 
 def _random_mixed_state(rng):
     rho = thermal_state(random_params(rng)).matrix
-    u = kron(random_unitary(rng), random_unitary(rng))
+    u = np.kron(random_unitary(rng), random_unitary(rng))
     rho = u @ rho @ u.conj().T
     if rng.uniform() < 0.5:
         other = thermal_state(random_params(rng)).matrix
-        v = kron(random_unitary(rng), random_unitary(rng))
+        v = np.kron(random_unitary(rng), random_unitary(rng))
         w = rng.uniform(0.1, 0.9)
         rho = w * rho + (1 - w) * (v @ other @ v.conj().T)
     return DensityMatrix(rho)

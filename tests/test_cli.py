@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,13 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["point", "--J", "not-a-number"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by the tests and the benchmark, not by the package
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, xyzmin.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

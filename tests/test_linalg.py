@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from xyzmin.linalg import SIGMA_X, SIGMA_Z, as_matrix, is_hermitian, kron
+from xyzmin.linalg import (
+    IDENTITY_2,
+    PAULI_BASIS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    as_matrix,
+    is_hermitian,
+)
 from xyzmin.model import ModelParams, build_hamiltonian, closed_form_spectrum
 
 
@@ -12,9 +20,15 @@ def test_hamiltonian_eigenvalues_match_closed_form():
     assert np.allclose(w, expected, atol=1e-12)
 
 
-def test_kron_dimensions():
-    assert kron(SIGMA_X, SIGMA_Z).shape == (4, 4)
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+def test_pauli_basis_is_kron_products():
+    sigma = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+    assert PAULI_BASIS.shape == (4, 4, 4, 4) and PAULI_BASIS.dtype == complex
+    for i, si in enumerate(sigma):
+        for j, sj in enumerate(sigma):
+            assert np.array_equal(PAULI_BASIS[i, j], np.kron(si, sj))
+    assert np.array_equal(PAULI_BASIS[0, 0], np.eye(4))
+    assert np.array_equal(PAULI_BASIS[1, 3], [[0, 0, 1, 0], [0, 0, 0, -1],
+                                              [1, 0, 0, 0], [0, -1, 0, 0]])
 
 
 def test_as_matrix_rejects_bad_shapes():

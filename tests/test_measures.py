@@ -15,7 +15,6 @@ from conftest import (
 )
 from xyzmin.decomp import fano_decompose
 from xyzmin.errors import DomainError, NotDiagonalCorrelation
-from xyzmin.linalg import kron
 from xyzmin.measures import (
     concurrence,
     critical_window,
@@ -221,7 +220,7 @@ class TestMinTrace:
     def test_rejects_nondiagonal_correlations(self, rng):
         rho = thermal_state(ModelParams(J=1.0, B=0.5))
         u = random_unitary(rng)
-        m = kron(u, np.eye(2)) @ rho.matrix @ kron(u, np.eye(2)).conj().T
+        m = np.kron(u, np.eye(2)) @ rho.matrix @ np.kron(u, np.eye(2)).conj().T
         with pytest.raises(NotDiagonalCorrelation):
             min_trace(fano_decompose(DensityMatrix(m)))
 
@@ -300,7 +299,7 @@ class TestSymmetryAndRange:
             p = random_params(rng)
             rho = thermal_state(p)
             u, v = random_unitary(rng), random_unitary(rng)
-            uv = kron(u, v)
+            uv = np.kron(u, v)
             rot = DensityMatrix(uv @ rho.matrix @ uv.conj().T)
             f, fr = fano_decompose(rho), fano_decompose(rot)
             assert abs(min_hs(f) - min_hs(fr)) < 1e-8

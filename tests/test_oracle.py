@@ -16,6 +16,7 @@ from conftest import (
 from xyzmin import oracle
 from xyzmin.decomp import fano_decompose
 from xyzmin.errors import OracleInconsistent
+from xyzmin.linalg import PAULI_BASIS
 from xyzmin.measures import min_fidelity, min_hs, min_trace
 from xyzmin.model import DensityMatrix, ModelParams, thermal_state
 from xyzmin.oracle import (
@@ -298,28 +299,6 @@ class TestMaxOverMeasurements:
                     second.refined) == (first.value, first.argmax_axis,
                                         first.grid_resolution, first.refined)
 
-    def test_trace_refinement_starts_at_grid_argmax(self, rng, monkeypatch):
-        # the flat argmax of the (polar, azimuthal) grid maps to the angles
-        # (thetas[i], phis[j]): Nelder-Mead starts where the definition is
-        # largest on the grid
-        true_minimize, starts = oracle.minimize, []
-
-        def minimize(fun, x0, **kwargs):
-            starts.append(x0)
-            return true_minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr("xyzmin.oracle.minimize", minimize)
-        axes = default_grid_axes(SMALL_GRID)
-        for rho in (thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8)),
-                    spin_flip_average(random_state(rng))):
-            max_over_measurements(rho, "trace", grid=SMALL_GRID)
-            theta, phi = starts.pop()
-            at_start = projector_objective(rho.matrix, MeasurementAxis(theta, phi).n, "trace")
-            on_grid = projector_objective(rho.matrix, axes, "trace")
-            assert abs(at_start - np.max(on_grid)) <= 1e-14
-            # a start at a wrong axis would fall short: the maximum is no plateau
-            assert np.max(on_grid) - np.median(on_grid) > 1e-2
-
     # values of the projector-form oracle at DEFAULT_GRID (hs_sq, trace,
     # one_minus_fidelity) on zero-Bloch thermal states
     PINNED = [
@@ -340,9 +319,9 @@ class TestMaxOverMeasurements:
             assert abs(res.value - value) <= 1e-14
 
     # a former miss of the grid oracle: two Pauli correlation magnitudes
-    # nearly tie, and Nelder-Mead from the grid argmax stalled on a saddle
-    # short of the maximum (misses of about 3.4e-6 in hs_sq and 6.8e-6 in
-    # one_minus_fidelity) before these two kinds took the exact maximum
+    # nearly tie, and a Nelder-Mead refinement from the grid argmax stalled
+    # on a saddle short of the maximum (misses of about 3.4e-6 in hs_sq and
+    # 6.8e-6 in one_minus_fidelity); every kind now takes the exact maximum
     TIE_MISS = dict(J=-3.7552, Jz=-0.2929, gamma=0.9462, beta=1.1489)
 
     @pytest.mark.parametrize("kind,closed_form", [("hs_sq", min_hs),
@@ -367,17 +346,36 @@ class TestMaxOverMeasurements:
             assert abs(res.value - min_trace(fano_decompose(rho))) < 1e-6
 
 
+def zero_a_pauli_states(rng, count):
+    """(state, T) for states (I + I x b.sigma + sum T_ij sigma_i x sigma_j)/4
+    with a zero local Bloch vector, b != 0 and a full, non-diagonal T; only
+    the positive semidefinite draws are kept."""
+    out = []
+    while len(out) < count:
+        coef = np.zeros((4, 4))
+        coef[0, 0] = 1.0
+        coef[0, 1:] = rng.uniform(-0.3, 0.3, 3)
+        coef[1:, 1:] = rng.uniform(-0.5, 0.5, (3, 3))
+        m = np.einsum("ij,ijab->ab", coef, PAULI_BASIS) / 4.0
+        if np.linalg.eigvalsh(m)[0] >= 0.0:
+            out.append((DensityMatrix(m), coef[1:, 1:]))
+    return out
+
+
 class TestExactRefinement:
-    """The free-axis maximum of hs_sq and one_minus_fidelity, the smallest
-    eigenpair of sym(U), against the definition on the grid and at random
-    axes, and against the closed forms."""
+    """The free-axis maximum: for hs_sq and one_minus_fidelity the smallest
+    eigenpair of sym(U), for trace the best of the definition at the three
+    eigenvectors of sym(U), against the definition on the grid and at random
+    axes, and against the closed forms and the top singular value of T."""
 
     @staticmethod
-    def states(rng):
+    def thermal_states():
         params = [p for p, _ in TestMaxOverMeasurements.PINNED]
         params.append(TestMaxOverMeasurements.TIE_MISS)
-        return ([thermal_state(ModelParams(**p)) for p in params]
-                + [spin_flip_average(random_state(rng)) for _ in range(3)])
+        return [thermal_state(ModelParams(**p)) for p in params]
+
+    def states(self, rng):
+        return self.thermal_states() + [spin_flip_average(random_state(rng)) for _ in range(3)]
 
     def test_exact_maximum_against_grid_random_axes_and_closed_form(self, rng):
         grid_axes = default_grid_axes().reshape(-1, 3)
@@ -407,46 +405,70 @@ class TestExactRefinement:
                 assert abs(at_axis - res.value) <= 1e-15
                 assert res.argmax_axis.theta <= math.pi / 2
 
+    def test_trace_maximum_is_top_singular_value(self, rng):
+        # at a zero local Bloch vector ||m - sigma||_1 = sigma_max((I - nn^T) T),
+        # largest, sigma_max(T), on the great circle orthogonal to the top left
+        # singular vector of T; the top eigenvector of sym(U) gives only sigma_2
+        states = zero_a_pauli_states(rng, 6)
+        states += [(rho, fano_decompose(rho).pauli_corr) for rho in self.thermal_states()]
+        grid_axes = default_grid_axes().reshape(-1, 3)
+        for rho, t in states:
+            res = max_over_measurements(rho, "trace")
+            assert res.refined
+            assert abs(res.value - np.linalg.svd(t, compute_uv=False)[0]) <= 1e-15
+            grid_max = np.max(projector_objective(rho.matrix, grid_axes, "trace"))
+            assert res.value >= grid_max - 1e-15
+            at_random = projector_objective(rho.matrix, unit_axes(rng, (1000,)), "trace")
+            assert res.value >= np.max(at_random) - 1e-15
+            at_axis = float(projector_objective(rho.matrix, res.argmax_axis.n, "trace"))
+            assert abs(at_axis - res.value) <= 1e-15
+            assert res.argmax_axis.theta <= math.pi / 2
+
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, SMALL_GRID])
     def test_grid_maximum_over_every_axis(self, rng, monkeypatch, grid):
         # the grid maximum that the exact maximum is checked against is the
-        # largest value of the linear objective over every axis of the grid
-        true_rayleigh_max, grid_maxima = oracle._rayleigh_max, []
+        # largest value of the objective over every axis of the grid
+        true_exact_max, grid_maxima = oracle._exact_max, []
 
-        def rayleigh_max(sw, kind, grid_max):
+        def exact_max(sw, kind, grid_max):
             grid_maxima.append(grid_max)
-            return true_rayleigh_max(sw, kind, grid_max)
+            return true_exact_max(sw, kind, grid_max)
 
-        monkeypatch.setattr("xyzmin.oracle._rayleigh_max", rayleigh_max)
-        _, _, alpha_q, q_phi, _, _ = _grid(grid)
+        monkeypatch.setattr("xyzmin.oracle._exact_max", exact_max)
+        _, _, alpha_q, q_phi, alpha_c, c_phi = _grid(grid)
         axes = default_grid_axes(grid)
         # spin-flip averages, so that every state takes the grid path
         states = [spin_flip_average(DensityMatrix(m))
                   for m in general_states(rng) + rank_deficient_states(rng)]
         states.append(thermal_state(ModelParams(**TestMaxOverMeasurements.TIE_MISS)))
         for rho in states:
-            for kind in ("hs_sq", "one_minus_fidelity"):
+            for kind in KINDS:
                 max_over_measurements(rho, kind, grid=grid)
                 (grid_max,) = grid_maxima
                 grid_maxima.clear()
-                on_grid = _objective(_Sandwiches(rho.matrix), (alpha_q, q_phi), kind)
+                terms = (alpha_c, c_phi) if kind == "trace" else (alpha_q, q_phi)
+                on_grid = _objective(_Sandwiches(rho.matrix), terms, kind)
                 assert grid_max == np.max(on_grid)
                 by_definition = np.max(projector_objective(rho.matrix, axes, kind))
-                assert abs(grid_max - by_definition) <= 1e-15
+                assert abs(grid_max - by_definition) <= (1e-14 if kind == "trace" else 1e-15)
 
-    @pytest.mark.parametrize("kind", ["hs_sq", "one_minus_fidelity"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_grid_above_exact_maximum_raises(self, monkeypatch, kind):
-        true_forms, reads = _Sandwiches.forms.func, []
+        # after the grid search, sym(U) gains a positive definite P whose
+        # eigenvectors lie far from the coordinate axes, where this X-state's
+        # maximizers are: the smallest eigenvalue rises by at least 1, which
+        # understates the linear maxima, and the candidate axes leave the
+        # great circle of trace maximizers, both far beyond the grid's miss
+        frame = np.linalg.qr(np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 4.0]]))[0]
+        p = frame @ np.diag([1.0, 2.0, 3.0]) @ frame.T
+        true_exact_max = oracle._exact_max
 
-        def forms(sw):
-            # the grid search reads the true forms first; later reads shift
-            # sym(U) by 1e-2, which understates the exact maximum by 5e-3,
-            # far beyond the grid's miss
-            u, r2 = true_forms(sw)
-            reads.append(kind)
-            return (u + 1e-2 * np.eye(3).ravel() if len(reads) > 1 else u), r2
+        def exact_max(sw, kind, grid_max):
+            u, r2 = sw.forms
+            sw.forms = (u + p.ravel(), r2)
+            return true_exact_max(sw, kind, grid_max)
 
-        monkeypatch.setattr(_Sandwiches, "forms", property(forms))
+        monkeypatch.setattr("xyzmin.oracle._exact_max", exact_max)
         rho = thermal_state(ModelParams(J=1.2, Jz=-0.7, gamma=0.8))
         with pytest.raises(OracleInconsistent):
             max_over_measurements(rho, kind)
