@@ -94,19 +94,26 @@ def _sweep_lines(vary, start, stop, steps, fixed, lock=None):
     if lock == "J=Jz" and vary in ("J", "Jz"):
         columns["Jz" if vary == "J" else "J"] = values
     m = thermal_measures(**columns)
-    table = zip(values.tolist(), m.concurrence.tolist(), m.min_hs.tolist(),
-                m.min_trace.tolist(), m.min_trace_paper.tolist(),
-                m.min_fidelity.tolist(), _in_window(m).tolist())
-    return [",".join((vary, _fmt(value), _fmt(conc), _fmt(conc / 2), _fmt(hs), _fmt(tr),
-                      _fmt(paper), _fmt(fid), "true" if inside else "false"))
-            for value, conc, hs, tr, paper, fid, inside in table]
+    return _csv_rows(vary, (values, m.concurrence, m.concurrence / 2, m.min_hs, m.min_trace,
+                            m.min_trace_paper, m.min_fidelity), _in_window(m))
+
+
+def _csv_rows(vary, columns, inside):
+    """One CSV row per point: vary, every numeric column printed as _fmt
+    prints it, then true/false from the mask inside.  The columns are stacked
+    into one float array, and + 0.0 turns -0.0 into +0.0 as _fmt does; each
+    row is then a single %-format, '%.12g' giving the digits of
+    format(v, '.12g')."""
+    table = np.stack(columns, axis=-1) + 0.0
+    row = vary + ",%.12g" * len(columns) + ",%s"
+    return [row % (*r, "true" if i else "false")
+            for r, i in zip(table.tolist(), inside.tolist())]
 
 
 def _write_csv(path, lines):
+    """The header and lines, written to path in one call."""
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join((CSV_HEADER, *lines, "")))
 
 
 def cmd_point(args):
@@ -193,26 +200,25 @@ def cmd_figure(args):
     if stem.endswith(".csv"):
         stem = stem[:-4]
     paths = []
-    for suffix, fixed in variants:
-        path = f"{stem}{suffix}.csv"
-        lines = _sweep_lines(vary, start, stop, args.steps, fixed, lock=lock)
-        try:
-            _write_csv(path, lines)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        paths.append(path)
-        print(path)
-    if args.gnuplot:
-        gp = f"{stem}.gp"
-        with open(gp, "w", newline="") as fh:
-            fh.write("set datafile separator ','\nset key autotitle columnhead\n")
-            for path in paths:
-                fh.write(
-                    f"plot '{path}' using 2:4 with lines, '' using 2:5 with lines, "
-                    f"'' using 2:6 with lines, '' using 2:8 with lines\npause -1\n"
-                )
-        print(gp)
+    try:
+        for suffix, fixed in variants:
+            path = f"{stem}{suffix}.csv"
+            _write_csv(path, _sweep_lines(vary, start, stop, args.steps, fixed, lock=lock))
+            paths.append(path)
+            print(path)
+        if args.gnuplot:
+            gp = f"{stem}.gp"
+            with open(gp, "w", newline="") as fh:
+                fh.write("set datafile separator ','\nset key autotitle columnhead\n")
+                for path in paths:
+                    fh.write(
+                        f"plot '{path}' using 2:4 with lines, '' using 2:5 with lines, "
+                        f"'' using 2:6 with lines, '' using 2:8 with lines\npause -1\n"
+                    )
+            print(gp)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

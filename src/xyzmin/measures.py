@@ -47,9 +47,6 @@ class CriticalWindow:
     def jc1_unbounded(self):
         return math.isinf(self.jc1)
 
-    def contains(self, jz):
-        return self.jc1 <= jz <= self.jc2
-
 
 @dataclass(frozen=True, eq=False)
 class ThermalMeasures:

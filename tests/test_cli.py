@@ -204,6 +204,36 @@ def test_figure_gnuplot_script(tmp_path, capsys):
     assert "fig5.csv" in gp
 
 
+def test_figure_gnuplot_unwritable_exits_1_with_one_line(tmp_path, capsys):
+    (tmp_path / "d" / "x.gp").mkdir(parents=True)
+    rc = main(["figure", "5", "--steps", "3", "--out", str(tmp_path / "d" / "x"), "--gnuplot"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "d" / "x.csv").exists()
+
+
+def test_csv_rows_print_each_value_as_fmt():
+    """Every numeric field of a row is _fmt of its value: -0.0 in each of the
+    seven positions prints as 0, and so do the awkward magnitudes."""
+    specials = [1e-5, 1e16, 5e-324, 0.1 + 0.2, 123456789012.5, -2.5e-7, math.pi]
+    rows = []
+    for pos in range(7):
+        row = [1.0] * 7
+        row[pos] = -0.0
+        rows.append(row)
+    rows += [[v] * 7 for v in specials]
+    rows.append([-0.0] * 7)
+    columns = tuple(np.array(rows).T)
+    inside = np.arange(len(rows)) % 2 == 0
+    got = cli._csv_rows("Jz", columns, inside)
+    assert len(got) == len(rows)
+    for line, row, flag in zip(got, rows, inside):
+        assert line == ",".join(["Jz", *map(cli._fmt, row), "true" if flag else "false"])
+        assert "-0" not in line.split(",")
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("J = 1\nJz = 1\n# comment\nB = 2\n")
